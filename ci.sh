@@ -13,6 +13,11 @@ cd "$(dirname "$0")"
 
 step() { printf '\n== %s ==\n' "$*"; }
 
+# Every test step runs under a deadline, so a hang (a lost wakeup, a
+# deadlocked pool) fails CI instead of stalling it. The deadlines are
+# loose enough to cover compiling the suite on a slow host.
+limit() { timeout --kill-after=30s "$@"; }
+
 step "cargo fmt --all --check"
 cargo fmt --all --check
 
@@ -26,15 +31,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
     -p clite-faults -p clite-load -p clite-par -p clite-learn -p clite-repro
 
 if [[ "${1:-}" != "quick" ]]; then
-    step "cargo build --release"
-    cargo build --release
+    # --workspace: the smoke tests below run the clite-bench binaries,
+    # which a bare `cargo build` at the root (the facade package) skips.
+    step "cargo build --release --workspace"
+    cargo build --release --workspace
 fi
 
 step "cargo test -q (tier-1)"
-cargo test -q
+limit 1200 cargo test -q
 
 step "cargo test --workspace -q"
-cargo test --workspace -q
+limit 3600 cargo test --workspace -q
 
 if [[ "${1:-}" != "quick" ]]; then
     # The workspace run above already covers these in debug; re-run the
@@ -47,46 +54,46 @@ if [[ "${1:-}" != "quick" ]]; then
     # shard count, incremental == scratch stats) at 256 nodes with
     # injected crashes must hold under release codegen too.
     step "cargo test -p clite-cluster --test fleet --release -q"
-    cargo test -p clite-cluster --test fleet --release -q
+    limit 1200 cargo test -p clite-cluster --test fleet --release -q
 
     step "cargo test -p clite-gp --test incremental --release -q"
-    cargo test -p clite-gp --test incremental --release -q
+    limit 1200 cargo test -p clite-gp --test incremental --release -q
 
-    # Shared-pool byte-identity at two pool sizes: the determinism suites
+    # Shared-pool byte-identity at three pool sizes: the determinism suites
     # must produce bit-identical suggestions whether the global pool has
-    # one executor (everything inline) or four (work actually handed to
-    # pool workers). Slot counts inside the suites cover 1/2/4/8, so the
+    # one executor (everything inline), two (the default on a 2-core
+    # host) or four (work actually handed to pool workers). Slot counts inside the suites cover 1/2/4/8, so the
     # pool-size x slot-count cross product spans under- and over-committed
     # pools under release codegen.
-    for pool_size in 1 4; do
+    for pool_size in 1 2 4; do
         step "byte-identity suite (CLITE_PAR_THREADS=$pool_size, release)"
         CLITE_PAR_THREADS=$pool_size \
-            cargo test -p clite-par --release -q
+            limit 1200 cargo test -p clite-par --release -q
         CLITE_PAR_THREADS=$pool_size \
-            cargo test -p clite-bo --test parallel_determinism --release -q
+            limit 1200 cargo test -p clite-bo --test parallel_determinism --release -q
         CLITE_PAR_THREADS=$pool_size \
-            cargo test -p clite-gp --release -q hyper::tests::threaded_scan
+            limit 1200 cargo test -p clite-gp --release -q hyper::tests::threaded_scan
         CLITE_PAR_THREADS=$pool_size \
-            cargo test -p clite-cluster --test threaded --release -q
+            limit 1200 cargo test -p clite-cluster --test threaded --release -q
         # Training determinism: same seed => bit-identical weights at
         # any pool size (the suite itself crosses slot counts 1/2/4/8).
         CLITE_PAR_THREADS=$pool_size \
-            cargo test -p clite-learn --release -q
+            limit 1200 cargo test -p clite-learn --release -q
     done
 
     # The observation store's crash-safety (truncated/bit-flipped tail
     # recovery) must hold under release codegen too.
     step "cargo test -p clite-store --release -q"
-    cargo test -p clite-store --release -q
+    limit 1200 cargo test -p clite-store --release -q
 
     # Chaos hardening: the fault-injection determinism proptests and the
     # controller's degradation ladder must hold under release codegen
     # (the rate-0 byte-identity check is float-codegen-sensitive).
     step "cargo test -p clite-faults --release -q"
-    cargo test -p clite-faults --release -q
+    limit 1200 cargo test -p clite-faults --release -q
 
     step "cargo test -p clite --test chaos --release -q"
-    cargo test -p clite --test chaos --release -q
+    limit 1200 cargo test -p clite --test chaos --release -q
 
     # End-to-end warm-start smoke test: a second colocate run against the
     # same store path must warm-start from the first run's samples.
@@ -181,10 +188,10 @@ if [[ "${1:-}" != "quick" ]]; then
     # must hold under release codegen (the witness comparison is
     # float-codegen-sensitive, like the other identity suites).
     step "cargo test -p clite-cluster --test recovery --release -q"
-    cargo test -p clite-cluster --test recovery --release -q
+    limit 1200 cargo test -p clite-cluster --test recovery --release -q
 
     step "cargo test -p clite-store --test journal_props --release -q"
-    cargo test -p clite-store --test journal_props --release -q
+    limit 1200 cargo test -p clite-store --test journal_props --release -q
 
     # Kill-and-recover CLI smoke test: journal a fleet run, kill it
     # mid-trace, then resume from the journal — the recovered run must

@@ -10,7 +10,7 @@
 
 use serde::Serialize;
 
-use clite_gp::stats::{norm_cdf, norm_pdf};
+use clite_gp::stats::{norm_cdf, norm_pdf, ERF_MAX_ABS_ERROR};
 
 /// Which acquisition function scores candidate points.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -99,6 +99,33 @@ impl Acquisition {
             }
         }
         self.score(mean, std_upper, best)
+    }
+
+    /// How far the *computed* [`Acquisition::score`] can rise above
+    /// [`Acquisition::score_upper_bound`]`(mean, std_upper, best)` at any
+    /// `std <= std_upper`: the exact acquisitions are monotone in `std`,
+    /// but the computed ones are not quite, so
+    /// `score_upper_bound + score_margin` is a bound that holds in floating
+    /// point. The acquisition climb gates and orders its exact solves by
+    /// that sum, so no neighbour that could win goes unsolved.
+    ///
+    /// * EI and PI go through [`norm_cdf`], within `ERF_MAX_ABS_ERROR / 2`
+    ///   of the exact `Ω`; EI's `δ·Ω(z)` term carries that error times
+    ///   `|δ|`, so each of the two evaluations is off by at most
+    ///   `ERF_MAX_ABS_ERROR·|δ| / 2` (PI: `ERF_MAX_ABS_ERROR / 2`), plus
+    ///   rounding, bounded generously by `1e-15` per unit of magnitude.
+    /// * UCB is `mean + β·std − best`, monotone in `std` even after
+    ///   rounding: zero.
+    #[must_use]
+    pub fn score_margin(&self, mean: f64, std_upper: f64, best: f64) -> f64 {
+        match *self {
+            Acquisition::ExpectedImprovement { zeta } => {
+                let delta = (mean - best - zeta).abs();
+                ERF_MAX_ABS_ERROR * delta + 1e-15 * (delta + std_upper)
+            }
+            Acquisition::ProbabilityOfImprovement { .. } => ERF_MAX_ABS_ERROR + 1e-15,
+            Acquisition::UpperConfidenceBound { .. } => 0.0,
+        }
     }
 }
 

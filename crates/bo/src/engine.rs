@@ -14,6 +14,7 @@
 //! (CLITE) picks which job to freeze and at which allocation; the engine
 //! restricts the acquisition search accordingly.
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 use rand::rngs::StdRng;
@@ -106,38 +107,97 @@ pub struct Suggestion {
 ///   donor's and recipient's fraction of the transferred resource), so the
 ///   step caches the base's squared distances to every training point once
 ///   and shifts them in O(n) per neighbour instead of recomputing O(n·d).
-/// * **Bound-gated variance** — the exact posterior mean is O(n); only the
-///   variance needs the O(n²) triangular solve. A cheap upper bound on the
-///   posterior std ([`GaussianProcess::gate_append`]) bounds the
-///   acquisition from above ([`Acquisition::score_upper_bound`]); a
-///   candidate whose optimistic score cannot beat the step's entry value
-///   (the floor never decreases within a step) is dropped without a solve.
-/// * **Batched variance solves** — steepest ascent needs every surviving
-///   neighbour's exact variance anyway, so the step resolves them all in
-///   one blocked multi-RHS forward substitution
-///   ([`GaussianProcess::batch_stds_pooled`]). A single candidate's solve
-///   is latency-bound on its own dependency chain; blocking four
-///   independent chains per pass is what breaks that bound, and batches
-///   large enough to amortize a dispatch chunk across the shared worker
-///   pool in 4-RHS-aligned slabs.
+/// * **Anchored variance bound** — the exact posterior mean is O(n); only
+///   the variance needs the O(n²) triangular solve. Pass 1 bounds every
+///   neighbour's posterior std from above in O(n)
+///   ([`GaussianProcess::gate_append`]), anchored at the step base's
+///   forward solve `v`: a neighbour's cross-covariance row is nearly
+///   parallel to its base's, so the Cauchy–Schwarz bound through
+///   `w = L⁻ᵀv` is nearly tight. The base's `v` is the previous step's
+///   winner's, already solved in that step's pass 2; only a climb's first
+///   step (or the one after a step-cache hit) forward-solves the base.
+///   [`Acquisition::score_upper_bound`] plus [`Acquisition::score_margin`]
+///   turns the std bound into an optimistic score that holds for the
+///   computed score, and a candidate whose optimistic score cannot beat
+///   the step's entry value (the floor never decreases within a step) is
+///   dropped without a solve. The score at the anchor-free bound defines
+///   the candidate set a step ranges over; it is checked only for
+///   would-be winners.
+/// * **Best-first exact resolution** — pass 2 solves the four most
+///   optimistic survivors in one four-lane block
+///   ([`GaussianProcess::batch_stds`]), then solves in one more batch only
+///   the survivors whose optimistic score still reaches the running best:
+///   about a third of the neighbourhood, where the anchor-free bound alone
+///   would pass nine tenths. The solves run on the calling thread; batches
+///   this small cannot pay for a pool dispatch, so parallelism stays with
+///   the independent multi-start climbs.
 ///
-/// All three leave climb trajectories — and therefore suggestions —
-/// unchanged: gated-out candidates provably could not have won, and the
-/// final argmax replays the serial visitor's first-strictly-better
-/// tie-breaking over enumeration order.
-struct SurrogateAcq<'a> {
+/// None of this changes a climb trajectory — and therefore a suggestion:
+/// a candidate left unsolved provably could not have won, a solved
+/// candidate's std is bit-identical whichever batch it lands in, and the
+/// argmax replays the serial visitor's first-strictly-better tie-breaking
+/// (highest value, then lowest enumeration index).
+pub struct SurrogateAcq<'a> {
     gp: &'a GaussianProcess,
     space: SearchSpace,
     acquisition: Acquisition,
     best_score: f64,
-    /// Pool slots for the blocked multi-RHS variance solve
-    /// ([`GaussianProcess::batch_stds_pooled`]): surviving-neighbour
-    /// batches below [`Cholesky::POOLED_MIN_RHS`] per slot fall back to
-    /// the serial solver, so small steps pay nothing and large batches
-    /// chunk across the shared pool bit-identically.
-    ///
-    /// [`Cholesky::POOLED_MIN_RHS`]: clite_gp::Cholesky::POOLED_MIN_RHS
-    batch_slots: usize,
+}
+
+impl<'a> SurrogateAcq<'a> {
+    /// The acquisition surface of `gp` over `space`, scoring improvement
+    /// over the incumbent `best_score` — what [`BoEngine::suggest`]
+    /// maximizes.
+    #[must_use]
+    pub fn new(
+        gp: &'a GaussianProcess,
+        space: SearchSpace,
+        acquisition: Acquisition,
+        best_score: f64,
+    ) -> Self {
+        Self { gp, space, acquisition, best_score }
+    }
+
+    /// Solves the survivors at positions `sel` in one batch and folds them
+    /// into the running best `(value, survivor position)`, seeded at the
+    /// step's `floor`; a new best's forward solve is kept in
+    /// `scratch.winner_v` for the next step's anchor.
+    fn resolve(&self, scratch: &mut EvalScratch, floor: f64, best: &mut (f64, Option<usize>)) {
+        if scratch.sel.is_empty() {
+            return;
+        }
+        let n = self.gp.len();
+        scratch.kstar_sel.clear();
+        for &pos in &scratch.sel {
+            scratch.kstar_sel.extend_from_slice(&scratch.kstar_flat[pos * n..(pos + 1) * n]);
+        }
+        self.gp.batch_stds(&scratch.kstar_sel, &mut scratch.solve, &mut scratch.cand_stds);
+        for (j, (&pos, &std)) in scratch.sel.iter().zip(&scratch.cand_stds).enumerate() {
+            debug_assert!(
+                std <= scratch.cand_std_upper[pos],
+                "anchored std bound {} below exact std {std}",
+                scratch.cand_std_upper[pos]
+            );
+            let mean = scratch.cand_means[pos];
+            let v = self.acquisition.score(mean, std, self.best_score);
+            // Survivor positions follow enumeration order, so comparing
+            // positions breaks value ties towards the first enumerated.
+            let wins = v > best.0 || (v == best.0 && best.1.is_some_and(|b| pos < b));
+            // Only a would-be winner pays for the anchor-free gate that
+            // defines the candidate set (see `best_neighbor`).
+            if wins
+                && self.acquisition.score_upper_bound(
+                    mean,
+                    scratch.cand_std_gate[pos],
+                    self.best_score,
+                ) > floor
+            {
+                *best = (v, Some(pos));
+                scratch.winner_v.clear();
+                scratch.winner_v.extend_from_slice(&scratch.solve.solutions()[j * n..(j + 1) * n]);
+            }
+        }
+    }
 }
 
 impl AcquisitionEval for SurrogateAcq<'_> {
@@ -161,13 +221,33 @@ impl AcquisitionEval for SurrogateAcq<'_> {
             &mut scratch.base_scaled,
             &mut scratch.base_sq_dists,
         );
+        // Anchor the variance bound at the base: reuse the forward solve
+        // the previous step computed for it as its winner, else solve it.
+        if scratch.winner_of_step.as_ref() == Some(current) {
+            self.gp.anchor_from_solve(&scratch.winner_v, &mut scratch.anchor);
+        } else {
+            self.gp.anchor_at(&scratch.base_sq_dists, &mut scratch.anchor);
+        }
+        scratch.winner_of_step = None;
 
         // Pass 1 — per neighbour: shift the base distances, compute the
-        // exact mean and the optimistic score; keep only candidates the
-        // bound cannot rule out. Gating against the *entry* floor is sound
-        // because the running best within a step only rises above it.
+        // exact mean and an optimistic score, and keep only candidates it
+        // cannot rule out against the step's entry floor (the running
+        // best within a step only rises above it). `upper`, from the
+        // anchored bound plus the acquisition's rounding margin, provably
+        // bounds the computed score; it gates and orders the solves below.
+        // The anchor-free bound (`std_upper`) defines the candidate set
+        // the step ranges over: a candidate whose score from that bound
+        // does not top the floor never wins. In the far tails of EI and
+        // PI, where computed scores stop being monotone in std, that can
+        // exclude a candidate whose exact score tops the floor; keeping
+        // the set bit-exact keeps every trajectory. It is checked only for
+        // would-be winners, in `resolve`.
         scratch.kstar_flat.clear();
         scratch.cand_means.clear();
+        scratch.cand_upper.clear();
+        scratch.cand_std_upper.clear();
+        scratch.cand_std_gate.clear();
         scratch.cand_idx.clear();
         let mut enum_idx = 0usize;
         current.for_each_neighbor_transfer(frozen_job, |n, transfer| {
@@ -190,45 +270,62 @@ impl AcquisitionEval for SurrogateAcq<'_> {
             ];
             self.gp.shift_sq_dists(&scratch.base_sq_dists, changes, &mut scratch.neighbor_sq_dists);
             let before = scratch.kstar_flat.len();
-            let gated = self.gp.gate_append(&scratch.neighbor_sq_dists, &mut scratch.kstar_flat);
-            let upper =
-                self.acquisition.score_upper_bound(gated.mean, gated.std_upper, self.best_score);
+            let gated = self.gp.gate_append(
+                &scratch.neighbor_sq_dists,
+                &scratch.anchor,
+                &mut scratch.kstar_flat,
+            );
+            let acq = self.acquisition;
+            let (mean, std_upper) = (gated.mean, gated.std_upper_anchored);
+            let upper = acq.score_upper_bound(mean, std_upper, self.best_score)
+                + acq.score_margin(mean, std_upper, self.best_score);
             if upper <= floor {
                 scratch.kstar_flat.truncate(before);
             } else {
-                scratch.cand_means.push(gated.mean);
+                scratch.cand_means.push(mean);
+                scratch.cand_upper.push(upper);
+                scratch.cand_std_upper.push(std_upper);
+                scratch.cand_std_gate.push(gated.std_upper);
                 scratch.cand_idx.push(idx);
             }
         });
-        if scratch.cand_idx.is_empty() {
+        let m = scratch.cand_idx.len();
+        if m == 0 {
             return None;
         }
 
-        // Pass 2 — all survivors' exact variances in one blocked solve.
-        self.gp.batch_stds_pooled(
-            &scratch.kstar_flat,
-            &mut scratch.v_flat,
-            &mut scratch.cand_stds,
-            self.batch_slots,
-        );
-
-        // Argmax with the serial visitor's semantics: first strictly-better
-        // candidate in enumeration order wins, seeded at `floor`.
-        let mut best: Option<usize> = None;
-        let mut best_val = floor;
-        for (i, (&mean, &std)) in scratch.cand_means.iter().zip(&scratch.cand_stds).enumerate() {
-            let v = self.acquisition.score(mean, std, self.best_score);
-            if v > best_val {
-                best_val = v;
-                best = Some(i);
-            }
+        // Pass 2 — best-first exact resolution: solve the four most
+        // optimistic survivors, then every survivor whose bound still
+        // reaches the running best (NaN bounds are never ruled out).
+        // Neither batch needs an order within it: `resolve` breaks ties
+        // by position, so only the split into batches matters.
+        const HEAD: usize = 4;
+        scratch.sel.clear();
+        scratch.sel.extend(0..m);
+        let upper = &scratch.cand_upper;
+        if m > HEAD {
+            scratch.sel.select_nth_unstable_by(HEAD - 1, |&a, &b| upper[b].total_cmp(&upper[a]));
         }
-        best.map(|i| {
-            let n = current
-                .nth_neighbor(frozen_job, scratch.cand_idx[i])
-                .expect("index enumerated by for_each_neighbor_transfer");
-            (n, best_val)
-        })
+        scratch.rest.clear();
+        scratch.rest.extend(scratch.sel.drain(m.min(HEAD)..));
+        let mut best = (floor, None);
+        self.resolve(scratch, floor, &mut best);
+        let upper = &scratch.cand_upper;
+        scratch.sel.clear();
+        scratch.sel.extend(
+            scratch
+                .rest
+                .iter()
+                .filter(|&&pos| upper[pos].partial_cmp(&best.0) != Some(Ordering::Less)),
+        );
+        self.resolve(scratch, floor, &mut best);
+
+        let (best_val, pos) = (best.0, best.1?);
+        let n = current
+            .nth_neighbor(frozen_job, scratch.cand_idx[pos])
+            .expect("index enumerated by for_each_neighbor_transfer");
+        scratch.winner_of_step = Some(n.clone());
+        Some((n, best_val))
     }
 }
 
@@ -407,13 +504,7 @@ impl BoEngine {
         let gp = self.fit_surrogate_with(telemetry)?;
 
         let best_score = self.best().map(|(_, s)| s).unwrap_or(0.0);
-        let acq = SurrogateAcq {
-            gp: &gp,
-            space: self.space,
-            acquisition: self.config.acquisition,
-            best_score,
-            batch_slots: self.config.optimizer.threads,
-        };
+        let acq = SurrogateAcq::new(&gp, self.space, self.config.acquisition, best_score);
 
         // Warm starts: the incumbent best and the most recent sample.
         let mut seeds: Vec<Partition> = Vec::new();

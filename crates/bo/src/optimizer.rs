@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use clite_gp::gp::PredictScratch;
+use clite_gp::gp::{BatchScratch, PredictScratch, VarianceAnchor};
 use clite_sim::alloc::{JobAllocation, Partition};
 
 use crate::space::SearchSpace;
@@ -62,13 +62,32 @@ pub struct EvalScratch {
     /// Posterior means of the surviving candidates, same order as
     /// `kstar_flat` rows.
     pub cand_means: Vec<f64>,
+    /// Optimistic acquisition scores of the surviving candidates.
+    pub cand_upper: Vec<f64>,
+    /// Anchored posterior std upper bounds of the surviving candidates.
+    pub cand_std_upper: Vec<f64>,
+    /// Anchor-free posterior std upper bounds of the surviving candidates
+    /// (the bound that defines a step's candidate set).
+    pub cand_std_gate: Vec<f64>,
     /// Neighbour-enumeration indices of the surviving candidates.
     pub cand_idx: Vec<usize>,
-    /// Exact posterior standard deviations of the surviving candidates
-    /// (filled by the batched solve).
+    /// Positions of the survivors in the batch being solved.
+    pub sel: Vec<usize>,
+    /// Positions of the survivors left for the second batch.
+    pub rest: Vec<usize>,
+    /// Cross-covariance rows of the batch being solved.
+    pub kstar_sel: Vec<f64>,
+    /// Exact posterior standard deviations of the batch being solved.
     pub cand_stds: Vec<f64>,
     /// Batched triangular-solve scratch.
-    pub v_flat: Vec<f64>,
+    pub solve: BatchScratch,
+    /// Direction of the current step's anchored variance bound.
+    pub anchor: VarianceAnchor,
+    /// The last step's winner, whose forward solve is `winner_v`: the
+    /// next step anchors on it without a solve if it starts there.
+    pub winner_of_step: Option<Partition>,
+    /// Forward solve `L⁻¹k*` of the running (then final) step winner.
+    pub winner_v: Vec<f64>,
     /// Memoized climb steps, keyed by the step's base partition. Multiple
     /// starts converge to the same optima and replay identical neighbour
     /// sweeps; each cache hit skips a full `best_neighbor` pass. Lives as

@@ -138,17 +138,68 @@ impl ScaledColumns {
     }
 }
 
-/// Posterior mean plus a cheap *upper bound* on the posterior standard
+/// Posterior mean plus cheap *upper bounds* on the posterior standard
 /// deviation, produced by [`GaussianProcess::gate_append`] without
-/// the O(n²) triangular solve. Acquisition climbs use the bound to skip
+/// the O(n²) triangular solve. Acquisition climbs use the bounds to skip
 /// the solve for candidates that provably cannot beat the incumbent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatedPrediction {
     /// Exact posterior mean.
     pub mean: f64,
-    /// Upper bound on the posterior standard deviation (`std <= std_upper`
-    /// always; equality is not approached in general).
+    /// Upper bound on the posterior standard deviation from the two
+    /// anchor-free eigenvalue bounds (`std <= std_upper` in exact
+    /// arithmetic; near its tight case rounding can undercut the computed
+    /// std by an ulp).
     pub std_upper: f64,
+    /// The tighter bound that also uses the anchored term, with slack so
+    /// it holds against the computed std too (`std <= std_upper_anchored`,
+    /// and below `std_upper` but for the slack); nearly tight for queries
+    /// whose cross-covariance row points the anchor's way.
+    pub std_upper_anchored: f64,
+}
+
+/// Slack added to the anchored variance bound, in units of the prior
+/// variance `σ²`. The bounds are exact in real arithmetic, but they and
+/// the exact variance they are compared against are computed along
+/// different paths, and near a bound's tight case (e.g. a query close to a
+/// single isolated training point) rounding alone can put the bound an
+/// ulp below the computed variance. Randomized fits needed up to ~1e-14;
+/// 1e-9 widens a std bound by a negligible amount (5e-6 relative even at
+/// a variance of 1e-4·σ²).
+const BOUND_SLACK: f64 = 1e-9;
+
+/// A fixed direction for the anchored variance bound of
+/// [`GaussianProcess::gate_append`]: `w = L⁻ᵀv` and `1/(v·v)` for the
+/// forward solve `v = L⁻¹k_a` of some anchor query `a`. Build one with
+/// [`GaussianProcess::anchor_at`] or
+/// [`GaussianProcess::anchor_from_solve`]; an anchor is only valid for
+/// the fit that built it. Reusable: rebuilding keeps the buffers.
+#[derive(Debug, Clone, Default)]
+pub struct VarianceAnchor {
+    /// Forward-solve scratch for [`GaussianProcess::anchor_at`].
+    v: Vec<f64>,
+    w: Vec<f64>,
+    /// `1 / (v·v)`, or 0 when `v` vanishes.
+    scale: f64,
+}
+
+/// Reusable buffers for [`GaussianProcess::batch_stds`]: the forward
+/// solves of the last batch plus the blocked solver's interleaved scratch.
+#[derive(Debug, Clone, Default)]
+pub struct BatchScratch {
+    v: Vec<f64>,
+    blk: Vec<f64>,
+}
+
+impl BatchScratch {
+    /// The forward solves `vᵢ = L⁻¹k*ᵢ` of the last
+    /// [`GaussianProcess::batch_stds`] call, concatenated in batch order
+    /// (`n` entries each) — the input [`GaussianProcess::anchor_from_solve`]
+    /// takes.
+    #[must_use]
+    pub fn solutions(&self) -> &[f64] {
+        &self.v
+    }
 }
 
 /// A fitted Gaussian process.
@@ -520,6 +571,48 @@ impl GaussianProcess {
         }
     }
 
+    /// Points `anchor` at the query whose squared distances to the
+    /// training points are `r2`: computes its cross-covariance row and
+    /// forward solve, then proceeds as
+    /// [`anchor_from_solve`](GaussianProcess::anchor_from_solve). Two
+    /// O(n²) triangular solves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r2.len()` differs from the number of training points.
+    pub fn anchor_at(&self, r2: &[f64], anchor: &mut VarianceAnchor) {
+        assert_eq!(r2.len(), self.len(), "distance vector length mismatch");
+        anchor.w.clear();
+        self.kernel.eval_scaled_sq_append(r2, &mut anchor.w);
+        self.chol
+            .solve_lower_into(&anchor.w, &mut anchor.v)
+            .expect("cross-covariance length matches training size");
+        anchor.scale = self.anchor_direction(&anchor.v, &mut anchor.w);
+    }
+
+    /// Points `anchor` along an already computed forward solve `v = L⁻¹k_a`
+    /// (e.g. a row of [`BatchScratch::solutions`]): one O(n²) row-oriented
+    /// back-substitution for `w = L⁻ᵀv` plus `v·v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len()` differs from the number of training points.
+    pub fn anchor_from_solve(&self, v: &[f64], anchor: &mut VarianceAnchor) {
+        anchor.scale = self.anchor_direction(v, &mut anchor.w);
+    }
+
+    /// Writes `w = L⁻ᵀv` and returns the anchor's scale `1/(v·v)` (0 when
+    /// `v` vanishes).
+    fn anchor_direction(&self, v: &[f64], w: &mut Vec<f64>) -> f64 {
+        self.chol.solve_upper_into(v, w).expect("solve length matches training size");
+        let vv = dot(v, v);
+        if vv > 0.0 && vv.is_finite() {
+            1.0 / vv
+        } else {
+            0.0
+        }
+    }
+
     /// Exact posterior mean plus an upper bound on the posterior standard
     /// deviation, from a squared-distance vector — O(n), no triangular
     /// solve. The cross-covariance row `k*` computed along the way is
@@ -529,85 +622,116 @@ impl GaussianProcess {
     /// candidate truncates `k_star_all` back).
     ///
     /// The bound: `σ²(x) = σ² − vᵀv` with `v = L⁻¹k*`, and `vᵀv =
-    /// k*ᵀ(K+σₙ²I)⁻¹k*` admits two cheap lower bounds — `‖k*‖² / λ_max`
-    /// with `λ_max ≤ max_i Σ_j |K+σₙ²I|_ij` (row-sum bound; every entry of
-    /// a stationary-kernel Gram matrix is positive), and `max_i k*ᵢ² /
-    /// (σ²+σₙ²)` from Cauchy–Schwarz in the `(K+σₙ²I)⁻¹` inner product.
-    /// Subtracting the larger from `σ²` upper-bounds the variance. Any
-    /// factorization jitter is added to both denominators so the bound
-    /// stays sound for rescued borderline fits.
+    /// k*ᵀ(K+σₙ²I)⁻¹k*` admits three cheap lower bounds:
+    ///
+    /// * `‖k*‖² / λ_max` with `λ_max ≤ max_i Σ_j |K+σₙ²I|_ij` (row-sum
+    ///   bound; every entry of a stationary-kernel Gram matrix is
+    ///   positive);
+    /// * `max_i k*ᵢ² / (σ²+σₙ²)` from Cauchy–Schwarz in the `(K+σₙ²I)⁻¹`
+    ///   inner product;
+    /// * the **anchored** bound `(k*·w)² / (v_a·v_a)` with `w = L⁻ᵀv_a`:
+    ///   `k*·w = (L⁻¹k*)·v_a`, so Cauchy–Schwarz gives
+    ///   `(k*·w)² ≤ ‖L⁻¹k*‖²·‖v_a‖²`. It is exact when `k*` is parallel to
+    ///   the anchor's row, so anchoring at a climb step's base makes it
+    ///   nearly tight for the base's one-transfer neighbours.
+    ///
+    /// Subtracting the larger of the first two from `σ²` upper-bounds the
+    /// variance as [`GatedPrediction::std_upper`], whose bits do not
+    /// depend on the anchor. The largest of all three, less a
+    /// `1e-9·σ²` slack against rounding, gives
+    /// [`GatedPrediction::std_upper_anchored`], which also holds against
+    /// the *computed* exact std (`crates/gp/tests/anchored_bound.rs`
+    /// checks it over randomized ill-conditioned fits). Any factorization
+    /// jitter is added to the first two denominators so they
+    /// stay sound for rescued borderline fits (the anchored bound is
+    /// stated in terms of the jittered factor itself). The mean's dot
+    /// product is kept separate from the fused bound loop, so its bits are
+    /// those of every other mean path.
     ///
     /// # Panics
     ///
-    /// Panics if `r2.len()` differs from the number of training points.
-    pub fn gate_append(&self, r2: &[f64], k_star_all: &mut Vec<f64>) -> GatedPrediction {
+    /// Panics if `r2.len()` differs from the number of training points or
+    /// `anchor` was not built by this fit.
+    pub fn gate_append(
+        &self,
+        r2: &[f64],
+        anchor: &VarianceAnchor,
+        k_star_all: &mut Vec<f64>,
+    ) -> GatedPrediction {
         assert_eq!(r2.len(), self.len(), "distance vector length mismatch");
+        assert_eq!(anchor.w.len(), self.len(), "anchor built for another fit");
         let start = k_star_all.len();
         self.kernel.eval_scaled_sq_append(r2, k_star_all);
         let k_star = &k_star_all[start..];
         let mean = self.mean_y + dot(k_star, &self.alpha);
 
-        let (mut norm_sq, mut max_sq) = (0.0_f64, 0.0_f64);
-        for &k in k_star {
-            let k2 = k * k;
-            norm_sq += k2;
-            max_sq = max_sq.max(k2);
-        }
+        let (norm_sq, max_sq, proj) = gate_sums(k_star, &anchor.w);
         let jitter = self.chol.jitter();
         let inf_norm = self.inf_norm + jitter;
         let diag = self.kernel.variance() + self.config.noise_variance.max(0.0) + jitter;
         let vtv_lb = (norm_sq / inf_norm).max(max_sq / diag);
-        let var_ub = self.kernel.variance() - vtv_lb;
-        GatedPrediction { mean, std_upper: var_ub.max(0.0).sqrt() }
+        let variance = self.kernel.variance();
+        let std_from = |lb: f64| (variance - lb).max(0.0).sqrt();
+        let vtv_lb_anchored = vtv_lb.max(proj * proj * anchor.scale) - BOUND_SLACK * variance;
+        GatedPrediction {
+            mean,
+            std_upper: std_from(vtv_lb),
+            std_upper_anchored: std_from(vtv_lb_anchored),
+        }
     }
 
     /// Exact posterior standard deviations for a batch of cross-covariance
     /// rows (`m` consecutive length-`n` rows in `k_star_all`, as built by
-    /// [`GaussianProcess::gate_append`]), written to `stds` in order.
+    /// [`GaussianProcess::gate_append`]), written to `stds` in order; the
+    /// forward solves stay readable in [`BatchScratch::solutions`].
     ///
-    /// One climb step resolves all its surviving neighbours here in a
-    /// single blocked multi-RHS forward substitution
+    /// The rows are resolved in one blocked multi-RHS forward substitution
     /// ([`Cholesky::solve_lower_batch`]) — the per-candidate solve is
     /// latency-bound on its own dependency chain, while four-wide blocking
-    /// runs four independent chains per pass. `v_all` is solver scratch.
+    /// runs four independent chains per pass. A row's std is bit-identical
+    /// whichever batch it is solved in.
     ///
     /// # Panics
     ///
     /// Panics if `k_star_all.len()` is not a multiple of the training size.
-    pub fn batch_stds(&self, k_star_all: &[f64], v_all: &mut Vec<f64>, stds: &mut Vec<f64>) {
+    pub fn batch_stds(&self, k_star_all: &[f64], scratch: &mut BatchScratch, stds: &mut Vec<f64>) {
         self.chol
-            .solve_lower_batch(k_star_all, v_all)
+            .solve_lower_batch(k_star_all, &mut scratch.v, &mut scratch.blk)
             .expect("cross-covariance batch length matches training size");
-        self.stds_from_solves(v_all, stds);
-    }
-
-    /// [`batch_stds`](GaussianProcess::batch_stds) with the forward
-    /// substitution chunked over up to `slots` partitions of the shared
-    /// worker pool ([`Cholesky::solve_lower_batch_pooled`]) — byte-identical
-    /// to the serial batch at any slot count, and falling back to it for
-    /// batches too small to amortize a dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`batch_stds`](GaussianProcess::batch_stds).
-    pub fn batch_stds_pooled(
-        &self,
-        k_star_all: &[f64],
-        v_all: &mut Vec<f64>,
-        stds: &mut Vec<f64>,
-        slots: usize,
-    ) {
-        self.chol
-            .solve_lower_batch_pooled(k_star_all, v_all, slots)
-            .expect("cross-covariance batch length matches training size");
-        self.stds_from_solves(v_all, stds);
-    }
-
-    fn stds_from_solves(&self, v_all: &[f64], stds: &mut Vec<f64>) {
         let variance = self.kernel.variance();
         stds.clear();
-        stds.extend(v_all.chunks_exact(self.len()).map(|v| (variance - dot(v, v)).max(0.0).sqrt()));
+        stds.extend(
+            scratch.v.chunks_exact(self.len()).map(|v| (variance - dot(v, v)).max(0.0).sqrt()),
+        );
     }
+}
+
+/// `(‖k‖², maxᵢ kᵢ², k·w)` in one pass. `‖k‖²` accumulates sequentially,
+/// in index order, so [`GatedPrediction::std_upper`] — which defines the
+/// climb's candidate set — stays bit-stable; the max and the projection
+/// run in four independent lanes so they vectorize off that dependency
+/// chain.
+fn gate_sums(k: &[f64], w: &[f64]) -> (f64, f64, f64) {
+    debug_assert_eq!(k.len(), w.len());
+    let mut norm = 0.0_f64;
+    let (mut max, mut proj) = ([0.0_f64; 4], [0.0_f64; 4]);
+    let (kc, wc) = (k.chunks_exact(4), w.chunks_exact(4));
+    let (k_tail, w_tail) = (kc.remainder(), wc.remainder());
+    for (k4, w4) in kc.zip(wc) {
+        for lane in 0..4 {
+            let k2 = k4[lane] * k4[lane];
+            norm += k2;
+            max[lane] = max[lane].max(k2);
+            proj[lane] += k4[lane] * w4[lane];
+        }
+    }
+    for (&ki, &wi) in k_tail.iter().zip(w_tail) {
+        let k2 = ki * ki;
+        norm += k2;
+        max[0] = max[0].max(k2);
+        proj[0] += ki * wi;
+    }
+    (norm, max[0].max(max[1]).max(max[2].max(max[3])), (proj[0] + proj[1]) + (proj[2] + proj[3]))
 }
 
 /// `log p(y|X) = −½ yᵀα − ½ log|K| − (n/2) log 2π`.

@@ -130,6 +130,8 @@ pub struct Cholesky {
     /// Jitter that had to be added to the diagonal for the factorization to
     /// succeed (0.0 if none).
     jitter: f64,
+    /// `1 / L_ii`, cached so the batched solves pay no per-call setup.
+    inv_diag: Vec<f64>,
 }
 
 impl Cholesky {
@@ -151,16 +153,21 @@ impl Cholesky {
         let base = if mean_diag > 0.0 { mean_diag } else { 1.0 };
 
         if let Some(l) = try_factor(a, 0.0) {
-            return Ok(Self { l, jitter: 0.0 });
+            return Ok(Self::from_factor(l, 0.0));
         }
         let mut jitter = 1e-10 * base;
         while jitter <= 1e-2 * base {
             if let Some(l) = try_factor(a, jitter) {
-                return Ok(Self { l, jitter });
+                return Ok(Self::from_factor(l, jitter));
             }
             jitter *= 10.0;
         }
         Err(GpError::NotPositiveDefinite)
+    }
+
+    fn from_factor(l: Matrix, jitter: f64) -> Self {
+        let inv_diag = (0..l.rows).map(|i| 1.0 / l[(i, i)]).collect();
+        Self { l, jitter, inv_diag }
     }
 
     /// The lower-triangular factor.
@@ -220,41 +227,40 @@ impl Cholesky {
     ///
     /// A single forward substitution is latency-bound — each row's
     /// accumulation is one serial dependency chain. This batched form
-    /// processes four right-hand sides per pass, held *interleaved* in a
-    /// scratch block (`blk[4j..4j+4]` is element `j` of the four partial
-    /// solutions) so the inner loop reads one contiguous four-lane vector
-    /// per matrix entry and the compiler vectorizes the four chains; the
-    /// block is scattered back to the flat layout afterwards. Diagonal
-    /// divisions become multiplies by precomputed reciprocals.
+    /// processes four right-hand sides per pass, held *interleaved* in the
+    /// caller's scratch block `blk` (`blk[4j..4j+4]` is element `j` of the
+    /// four partial solutions) so the inner loop reads one contiguous
+    /// four-lane vector per matrix entry and the compiler vectorizes the
+    /// four chains; the block is scattered back to the flat layout
+    /// afterwards. Diagonal divisions become multiplies by the cached
+    /// reciprocals, so a warmed-up call allocates nothing.
     /// Per-solution results can therefore differ from
     /// [`Cholesky::solve_lower_into`] in the last ulp; batch results do
     /// not depend on `m` or on how the batch is split into blocks of four
-    /// (each solution only ever reads its own lane).
+    /// (every lane, blocked or scalar tail, runs the same operation
+    /// sequence and only ever reads its own solution), so a solution's
+    /// bits do not depend on which other right-hand sides share its call.
     ///
     /// # Errors
     ///
     /// Returns [`GpError::ShapeMismatch`] if `rhs.len()` is not a multiple
     /// of the matrix order.
-    pub fn solve_lower_batch(&self, rhs: &[f64], out: &mut Vec<f64>) -> Result<(), GpError> {
+    pub fn solve_lower_batch(
+        &self,
+        rhs: &[f64],
+        out: &mut Vec<f64>,
+        blk: &mut Vec<f64>,
+    ) -> Result<(), GpError> {
         let n = self.l.rows;
         if !rhs.len().is_multiple_of(n) {
             return Err(GpError::ShapeMismatch { op: "solve_lower_batch" });
         }
+        let m = rhs.len() / n;
         out.clear();
         out.resize(rhs.len(), 0.0);
-        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / self.l[(i, i)]).collect();
-        self.solve_lower_batch_core(&inv_diag, rhs, out);
-        Ok(())
-    }
-
-    /// The blocked forward-substitution kernel shared by the serial and
-    /// pooled batch solvers: full 4-wide blocks first, scalar tail after.
-    /// Operates on pre-shaped slices so pool slots can run it directly on
-    /// disjoint chunks of one output buffer.
-    fn solve_lower_batch_core(&self, inv_diag: &[f64], rhs: &[f64], out: &mut [f64]) {
-        let n = self.l.rows;
-        let m = rhs.len() / n;
-        let mut blk = vec![0.0_f64; 4 * n];
+        blk.clear();
+        blk.resize(4 * n, 0.0);
+        let inv_diag = &self.inv_diag;
 
         let mut c = 0;
         while c + 4 <= m {
@@ -296,68 +302,36 @@ impl Cholesky {
             }
             c += 1;
         }
-    }
-
-    /// [`solve_lower_batch`](Cholesky::solve_lower_batch) with the
-    /// right-hand sides chunked over up to `slots` partitions of the
-    /// shared worker pool, so one climb step's multi-RHS solve scales past
-    /// the four lanes a single 4-wide block pass uses.
-    ///
-    /// Byte-identical to the serial batch solve at any slot count: chunk
-    /// boundaries are multiples of four right-hand sides, so every chunk's
-    /// internal 4-wide blocks — and the final chunk's scalar tail — are
-    /// exactly the blocks the serial solver would form, and each solution
-    /// only ever reads its own lane. Batches too small to amortize a
-    /// dispatch (fewer than [`Cholesky::POOLED_MIN_RHS`] right-hand sides
-    /// per slot) fall back to the serial path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpError::ShapeMismatch`] if `rhs.len()` is not a multiple
-    /// of the matrix order.
-    pub fn solve_lower_batch_pooled(
-        &self,
-        rhs: &[f64],
-        out: &mut Vec<f64>,
-        slots: usize,
-    ) -> Result<(), GpError> {
-        let n = self.l.rows;
-        if !rhs.len().is_multiple_of(n) {
-            return Err(GpError::ShapeMismatch { op: "solve_lower_batch" });
-        }
-        let m = rhs.len() / n;
-        let width = slots.max(1).min(m / Self::POOLED_MIN_RHS);
-        if width <= 1 {
-            return self.solve_lower_batch(rhs, out);
-        }
-        out.clear();
-        out.resize(rhs.len(), 0.0);
-        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / self.l[(i, i)]).collect();
-        // Per-chunk RHS count, rounded up to a multiple of 4 so chunk
-        // boundaries coincide with the serial solver's block boundaries.
-        let per_chunk = m.div_ceil(width).div_ceil(4) * 4;
-        clite_par::for_each_chunk_mut(
-            clite_par::WorkerPool::global(),
-            width,
-            out,
-            per_chunk * n,
-            |chunk_idx, out_chunk| {
-                let start = chunk_idx * per_chunk * n;
-                self.solve_lower_batch_core(
-                    &inv_diag,
-                    &rhs[start..start + out_chunk.len()],
-                    out_chunk,
-                );
-            },
-        );
         Ok(())
     }
 
-    /// Minimum right-hand sides per slot for
-    /// [`Cholesky::solve_lower_batch_pooled`] to fan out; below
-    /// `slots × POOLED_MIN_RHS` total, a dispatch costs more than the
-    /// lanes it adds.
-    pub const POOLED_MIN_RHS: usize = 16;
+    /// Solves `Lᵀ·x = b` into a caller-provided buffer, walking `L` by
+    /// rows: once `x[i]` is known, row `i`'s contribution is subtracted
+    /// from every earlier entry (an axpy over one contiguous row), so the
+    /// O(n²) pass streams the row-major factor instead of striding down
+    /// its columns like [`Cholesky::solve_upper`]. The operation order
+    /// differs from `solve_upper`, so results can differ in the last ulps.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpError::ShapeMismatch`] if `b.len()` differs from the
+    /// matrix order.
+    pub fn solve_upper_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), GpError> {
+        let n = self.l.rows;
+        if b.len() != n {
+            return Err(GpError::ShapeMismatch { op: "solve_upper" });
+        }
+        x.clear();
+        x.extend_from_slice(b);
+        for i in (0..n).rev() {
+            let xi = x[i] * self.inv_diag[i];
+            x[i] = xi;
+            for (xj, &lij) in x[..i].iter_mut().zip(&self.l.row(i)[..i]) {
+                *xj -= lij * xi;
+            }
+        }
+        Ok(())
+    }
 
     /// Solves `Lᵀ·x = b` (backward substitution).
     ///
@@ -443,7 +417,7 @@ impl Cholesky {
             return Err(GpError::NotPositiveDefinite);
         }
         l[(n, n)] = s.sqrt();
-        Ok(Self { l, jitter: self.jitter })
+        Ok(Self::from_factor(l, self.jitter))
     }
 }
 
@@ -588,9 +562,10 @@ mod tests {
     }
 
     #[test]
-    fn pooled_batch_solve_is_byte_identical_to_serial() {
-        // Large SPD matrix so several chunk widths actually engage the
-        // pooled path (m must exceed POOLED_MIN_RHS per slot).
+    fn batch_solve_bits_do_not_depend_on_batch_split() {
+        // Large SPD matrix; every solution must come out bit-identical
+        // whether it is solved alone (scalar tail), inside a 4-wide block,
+        // or at any position of a larger batch.
         let n = 12;
         let b = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 13) as f64 * 0.07 + 0.3);
         let mut a = Matrix::zeros(n, n);
@@ -606,27 +581,36 @@ mod tests {
         a.add_diagonal(1.0);
         let c = Cholesky::decompose(&a).unwrap();
 
-        for m in [1usize, 3, 16, 33, 64, 130] {
-            let rhs: Vec<f64> =
-                (0..m * n).map(|i| ((i * 7919 % 1000) as f64).mul_add(1e-3, -0.5)).collect();
-            let mut serial = Vec::new();
-            c.solve_lower_batch(&rhs, &mut serial).unwrap();
-            for slots in [1usize, 2, 4, 8] {
-                let mut pooled = Vec::new();
-                c.solve_lower_batch_pooled(&rhs, &mut pooled, slots).unwrap();
-                assert_eq!(serial.len(), pooled.len());
-                for (i, (a, b)) in serial.iter().zip(&pooled).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "m={m} slots={slots} diverged at element {i}"
-                    );
+        let m = 11;
+        let rhs: Vec<f64> =
+            (0..m * n).map(|i| ((i * 7919 % 1000) as f64).mul_add(1e-3, -0.5)).collect();
+        let (mut whole, mut blk) = (Vec::new(), Vec::new());
+        c.solve_lower_batch(&rhs, &mut whole, &mut blk).unwrap();
+        let mut part = Vec::new();
+        for split in [1usize, 3, 4, 5, 8] {
+            for start in (0..m).step_by(split) {
+                let end = (start + split).min(m);
+                c.solve_lower_batch(&rhs[start * n..end * n], &mut part, &mut blk).unwrap();
+                for (i, (x, y)) in whole[start * n..end * n].iter().zip(&part).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "split={split} start={start} elem={i}");
                 }
             }
         }
-        // Shape errors propagate the same way as the serial solver's.
         let mut out = Vec::new();
-        assert!(c.solve_lower_batch_pooled(&vec![0.0; n + 1], &mut out, 4).is_err());
+        assert!(c.solve_lower_batch(&vec![0.0; n + 1], &mut out, &mut blk).is_err());
+    }
+
+    #[test]
+    fn solve_upper_into_matches_solve_upper() {
+        let c = Cholesky::decompose(&spd3()).unwrap();
+        let b = vec![0.7, -0.2, 1.3];
+        let owned = c.solve_upper(&b).unwrap();
+        let mut buf = vec![9.0; 5]; // stale contents and wrong length
+        c.solve_upper_into(&b, &mut buf).unwrap();
+        for (x, y) in owned.iter().zip(&buf) {
+            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
+        }
+        assert!(c.solve_upper_into(&[1.0], &mut buf).is_err());
     }
 
     #[test]

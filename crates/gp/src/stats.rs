@@ -7,8 +7,12 @@
 
 use std::f64::consts::{FRAC_1_SQRT_2, PI};
 
+/// Maximum absolute error of [`erf`] (Abramowitz & Stegun 7.1.26); so
+/// [`norm_cdf`] is within half of it of the exact `Ω`.
+pub const ERF_MAX_ABS_ERROR: f64 = 1.5e-7;
+
 /// Error function `erf(x)` via the Abramowitz & Stegun 7.1.26 rational
-/// approximation (absolute error below `1.5e-7`).
+/// approximation (absolute error below [`ERF_MAX_ABS_ERROR`]).
 #[must_use]
 pub fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };

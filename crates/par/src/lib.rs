@@ -36,7 +36,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread;
 
 /// Environment variable overriding the [`WorkerPool::global`] executor
@@ -272,7 +272,17 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        // Raise the flag under the queue lock: a worker checks it and then
+        // waits on `work_cv` without releasing that lock in between, so it
+        // either sees the flag or is already waiting when the notify comes.
+        // Storing it unlocked could land between the check and the wait,
+        // and that worker would sleep through the notify forever. The
+        // queue itself is not touched, so a poisoned lock is still usable
+        // (and a drop must not panic).
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::Relaxed);
+        }
         self.shared.work_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
