@@ -18,6 +18,14 @@ step() { printf '\n== %s ==\n' "$*"; }
 # loose enough to cover compiling the suite on a slow host.
 limit() { timeout --kill-after=30s "$@"; }
 
+# Path of a release test binary (built first if stale), from the
+# "Executable" line `cargo test --no-run` prints, e.g.
+#   release_test_bin -p clite-cluster --test threaded
+release_test_bin() {
+    cargo test "$@" --release --no-run 2>&1 \
+        | sed -n 's/^ *Executable .* (\(.*\))$/\1/p' | tail -n 1
+}
+
 step "cargo fmt --all --check"
 cargo fmt --all --check
 
@@ -50,9 +58,9 @@ if [[ "${1:-}" != "quick" ]]; then
     # differ most. (Cluster admission byte-identity runs in the
     # CLITE_PAR_THREADS loop below, at both pool sizes.)
 
-    # Fleet loop byte-identity (serial == threaded, single-lock == any
-    # shard count, incremental == scratch stats) at 256 nodes with
-    # injected crashes must hold under release codegen too.
+    # Fleet loop byte-identity (serial == threaded, 1 shard == any shard
+    # count, incremental == scratch stats) at 256 nodes with injected
+    # crashes must hold under release codegen too.
     step "cargo test -p clite-cluster --test fleet --release -q"
     limit 1200 cargo test -p clite-cluster --test fleet --release -q
 
@@ -80,6 +88,30 @@ if [[ "${1:-}" != "quick" ]]; then
         CLITE_PAR_THREADS=$pool_size \
             limit 1200 cargo test -p clite-learn --release -q
     done
+
+    # Stress loop: re-run the already-built release binaries of the
+    # concurrency suites many times under real parallelism, so a rare
+    # interleaving (a lost wakeup, a compactor that outlives its store)
+    # shows up here rather than once in a hundred CI runs. The binaries
+    # run directly, with no cargo per iteration; the whole loop shares
+    # one deadline. Measured on a 2-core host: ~3.5 s per threaded-suite
+    # run and <0.1 s per store-suite run; 177 s for the loop at 12
+    # threaded runs per pool size, so 10 keeps it near 2.5 min.
+    step "stress loop (CLITE_PAR_THREADS=2/4/8, release binaries)"
+    threaded_bin="$(release_test_bin -p clite-cluster --test threaded)"
+    shard_bin="$(release_test_bin -p clite-store --test shard_invariance)"
+    drop_bin="$(release_test_bin -p clite-store --test compactor_drop)"
+    for bin in "$threaded_bin" "$shard_bin" "$drop_bin"; do
+        [[ -x "$bin" ]] || { echo "stress loop: test binary not found: '$bin'" >&2; exit 1; }
+    done
+    # A failing run prints its own output, then stops the loop.
+    limit 600 bash -euc '
+        run() { out="$("$1" -q 2>&1)" || { printf "%s\n" "$out"; exit 1; }; }
+        for pool_size in 2 4 8; do
+            export CLITE_PAR_THREADS=$pool_size
+            for _ in $(seq 10); do run "$1"; done
+            for _ in $(seq 100); do run "$2"; run "$3"; done
+        done' stress "$threaded_bin" "$shard_bin" "$drop_bin"
 
     # The observation store's crash-safety (truncated/bit-flipped tail
     # recovery) must hold under release codegen too.
@@ -152,21 +184,26 @@ if [[ "${1:-}" != "quick" ]]; then
         --faults crash_prob=0.35,crash_max=20 > "$store_tmp/fleet2.txt"
     grep -q "without panic" "$store_tmp/fleet2.txt"
 
-    # Fleet scale experiment: regenerate the committed benchmark artifact
-    # (nodes-vs-admission-latency + sharded-vs-mutex store curves). The
-    # experiment itself asserts serial == threaded byte-identity at every
-    # scale point and that injected crashes actually kill nodes.
-    step "fleet experiment (results/BENCH_pr7.json)"
-    ./target/release/experiments fleet --quick --seed 42 > "$store_tmp/fleet_exp.txt"
+    # The four experiment steps below write their benchmark artifacts
+    # into the temp dir: a CI run checks the experiments' gates, it never
+    # rewrites the committed results/BENCH_pr*.json.
+
+    # Fleet scale experiment (nodes-vs-admission-latency + sharded-vs-mutex
+    # store curves). The experiment itself asserts serial == threaded
+    # byte-identity at every scale point and that injected crashes
+    # actually kill nodes.
+    step "fleet experiment"
+    CLITE_FLEET_REPORT="$store_tmp/BENCH_pr7.json" \
+        ./target/release/experiments fleet --quick --seed 42 > "$store_tmp/fleet_exp.txt"
     grep -q "benchmark artifact written" "$store_tmp/fleet_exp.txt"
 
-    # Parallel-substrate scaling: regenerate the committed speedup-curve
-    # artifact. The experiment asserts byte-identical suggestions at every
-    # slot count and fails (pass=false) if the modeled 4-worker speedup
-    # drops below 2x or the pooled 1-worker scan loses to the pre-PR
-    # scoped-spawn baseline.
-    step "par experiment (results/BENCH_pr8.json)"
-    ./target/release/experiments par --full --seed 42 > "$store_tmp/par_exp.txt"
+    # Parallel-substrate scaling (speedup curve). The experiment asserts
+    # byte-identical suggestions at every slot count and fails
+    # (pass=false) if the modeled 4-worker speedup drops below 2x or the
+    # pooled 1-worker scan loses to the pre-PR scoped-spawn baseline.
+    step "par experiment"
+    CLITE_PAR_REPORT="$store_tmp/BENCH_pr8.json" \
+        ./target/release/experiments par --full --seed 42 > "$store_tmp/par_exp.txt"
     grep -q "benchmark artifact written" "$store_tmp/par_exp.txt"
     grep -q "PASS" "$store_tmp/par_exp.txt"
 
@@ -206,22 +243,23 @@ if [[ "${1:-}" != "quick" ]]; then
     grep -q "recovery: replayed" "$store_tmp/fleet_recover.txt"
     grep -q "without panic" "$store_tmp/fleet_recover.txt"
 
-    # Recovery experiment: regenerate the committed benchmark artifact.
-    # The experiment asserts byte-identical recovery at every kill point
-    # (both WAL boundaries), threaded == serial across a crash, and the
-    # overload gates (deadline-bounded admission tail, journaled sheds).
-    step "recovery experiment (results/BENCH_pr10.json)"
-    ./target/release/experiments recovery --quick --seed 42 > "$store_tmp/recovery_exp.txt"
+    # Recovery experiment. It asserts byte-identical recovery at every
+    # kill point (both WAL boundaries), threaded == serial across a crash,
+    # and the overload gates (deadline-bounded admission tail, journaled
+    # sheds).
+    step "recovery experiment"
+    CLITE_RECOVERY_REPORT="$store_tmp/BENCH_pr10.json" \
+        ./target/release/experiments recovery --quick --seed 42 > "$store_tmp/recovery_exp.txt"
     grep -q "benchmark artifact written" "$store_tmp/recovery_exp.txt"
     grep -q "recovery: PASS" "$store_tmp/recovery_exp.txt"
 
-    # Placement A/B experiment: regenerate the committed benchmark
-    # artifact. The experiment asserts serial == threaded byte-identity
-    # in both arms and fails the gate unless the learned ordering
-    # matches or beats the heuristic QoS-safe fraction at every scale
-    # point with admission within 2 pp.
-    step "placement experiment (results/BENCH_pr9.json)"
-    ./target/release/experiments placement --quick --seed 42 > "$store_tmp/placement_exp.txt"
+    # Placement A/B experiment. It asserts serial == threaded
+    # byte-identity in both arms and fails the gate unless the learned
+    # ordering matches or beats the heuristic QoS-safe fraction at every
+    # scale point with admission within 2 pp.
+    step "placement experiment"
+    CLITE_PLACEMENT_REPORT="$store_tmp/BENCH_pr9.json" \
+        ./target/release/experiments placement --quick --seed 42 > "$store_tmp/placement_exp.txt"
     grep -q "benchmark artifact written" "$store_tmp/placement_exp.txt"
     grep -q "placement: PASS" "$store_tmp/placement_exp.txt"
 

@@ -407,15 +407,15 @@ fn bench_warm_start(c: &mut Criterion) {
 
         // One cold pass primes the store; the warm start is snapshotted
         // once so every warm iteration replays the same stored samples.
-        let store = ObservationStore::in_memory().into_shared();
+        let mut store = ObservationStore::in_memory();
         let cold = {
             let mut server = fresh();
-            controller.run_with_store(&mut server, &store, &Telemetry::disabled()).unwrap()
+            controller.run_with_store(&mut server, &mut store, &Telemetry::disabled()).unwrap()
         };
         let warm = {
             let server = fresh();
             let signature = MixSignature::capture(&server);
-            store.lock().unwrap().warm_start(&signature).expect("primed store must hit")
+            store.warm_start(&signature).expect("primed store must hit")
         };
         let warmed = {
             let mut server = fresh();

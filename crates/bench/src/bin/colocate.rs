@@ -22,7 +22,7 @@ use clite_load::{LoadReport, ScenarioReport};
 use clite_policies::policy::PolicyOutcome;
 use clite_sim::prelude::*;
 use clite_sim::resource::ResourceKind;
-use clite_store::{ObservationStore, SharedStore, StorePolicy};
+use clite_store::{ObservationStore, StorePolicy};
 use clite_telemetry::{JsonlRecorder, OverheadReport, Telemetry};
 
 fn main() -> ExitCode {
@@ -94,7 +94,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let shared = match open_store(policy, store.as_deref(), &recorder) {
+            let mut store = match open_store(policy, store.as_deref(), &recorder) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -106,13 +106,13 @@ fn main() -> ExitCode {
                     &mix,
                     seed,
                     &spec,
-                    shared.as_ref(),
+                    store.as_mut(),
                     &recorder,
                     telemetry_out.as_deref(),
                 );
             }
             let mut overhead: Option<OverheadReport> = None;
-            let run = |telemetry: &Telemetry<'_>| match &shared {
+            let mut run = |telemetry: &Telemetry<'_>| match store.as_mut() {
                 Some(s) => run_clite_with_store(&mix, seed, s, telemetry),
                 None => run_policy_with(policy, &mix, seed, telemetry),
             };
@@ -126,7 +126,7 @@ fn main() -> ExitCode {
                 None => run(&Telemetry::disabled()),
             };
             print_result(&mix, &outcome, seed, 0);
-            if let Some(s) = &shared {
+            if let Some(s) = &store {
                 report_store(s);
             }
             if let (Some(sink), Some(report)) = (&recorder, &overhead) {
@@ -228,7 +228,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let shared = match open_store(policy, store.as_deref(), &recorder) {
+            let mut store = match open_store(policy, store.as_deref(), &recorder) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -242,7 +242,7 @@ fn main() -> ExitCode {
                 jobs.extend(fixed.iter().cloned());
                 let mix = mix_from(jobs);
                 let step_seed = seed.wrapping_add(step as u64);
-                let outcome = match (&shared, &recorder) {
+                let outcome = match (store.as_mut(), &recorder) {
                     (Some(s), Some(sink)) => {
                         run_clite_with_store(&mix, step_seed, s, &Telemetry::new(sink))
                     }
@@ -270,7 +270,7 @@ fn main() -> ExitCode {
                 policy.name(),
                 t.render()
             );
-            if let Some(s) = &shared {
+            if let Some(s) = &store {
                 report_store(s);
             }
             if let Some(sink) = &recorder {
@@ -391,7 +391,7 @@ fn run_fleet(
                     factory,
                     dir,
                     durable,
-                    Some(store.clone().into()),
+                    Some(store.clone()),
                     &Telemetry::disabled(),
                 ) {
                     Ok(f) => f,
@@ -576,7 +576,7 @@ fn open_store(
     policy: PolicyKind,
     path: Option<&Path>,
     recorder: &Option<JsonlRecorder>,
-) -> Result<Option<SharedStore>, String> {
+) -> Result<Option<ObservationStore>, String> {
     let Some(path) = path else { return Ok(None) };
     if policy != PolicyKind::Clite {
         return Err(format!("--store only supports --policy CLITE (got {})", policy.name()));
@@ -597,7 +597,7 @@ fn open_store(
             stats.undecodable_records
         );
     }
-    Ok(Some(store.into_shared()))
+    Ok(Some(store))
 }
 
 /// Prints the run summary line and per-job partition table for a
@@ -700,7 +700,7 @@ fn run_chaos(
     mix: &Mix,
     seed: u64,
     spec: &clite_faults::FaultSpec,
-    shared: Option<&SharedStore>,
+    mut store: Option<&mut ObservationStore>,
     recorder: &Option<JsonlRecorder>,
     telemetry_path: Option<&Path>,
 ) -> ExitCode {
@@ -708,11 +708,11 @@ fn run_chaos(
     let chaos = match recorder {
         Some(sink) => {
             let telemetry = Telemetry::new(sink);
-            let out = run_clite_chaos(mix, seed, spec, shared, &telemetry);
+            let out = run_clite_chaos(mix, seed, spec, store.as_deref_mut(), &telemetry);
             overhead = Some(telemetry.report());
             out
         }
-        None => run_clite_chaos(mix, seed, spec, shared, &Telemetry::disabled()),
+        None => run_clite_chaos(mix, seed, spec, store.as_deref_mut(), &Telemetry::disabled()),
     };
     let f = &chaos.faults;
     println!(
@@ -740,7 +740,7 @@ fn run_chaos(
         }
         (None, None) => unreachable!("chaos run produced neither an outcome nor a fallback"),
     }
-    if let Some(s) = shared {
+    if let Some(s) = store {
         report_store(s);
     }
     if let (Some(sink), Some(report)) = (recorder, &overhead) {
@@ -753,13 +753,12 @@ fn run_chaos(
 /// Prints the one-line store summary the CI smoke test greps for:
 /// `store: hit` when at least one search warm-started from stored
 /// samples, `store: miss` when every lookup came up cold.
-fn report_store(store: &SharedStore) {
-    let guard = store.lock().expect("observation store lock");
-    let stats = guard.stats();
+fn report_store(store: &ObservationStore) {
+    let stats = store.stats();
     let detail = format!(
         "{} mixes, {} records kept, {} samples appended",
-        guard.mix_count(),
-        guard.record_count(),
+        store.mix_count(),
+        store.record_count(),
         stats.appends
     );
     if stats.hits > 0 {

@@ -52,28 +52,27 @@ pub fn run(opts: &ExpOptions) -> Report {
     let mut store_line = None;
     let trace = match &opts.store {
         Some(path) => {
-            let store = ObservationStore::open(path)
-                .unwrap_or_else(|e| panic!("cannot open observation store {}: {e}", path.display()))
-                .into_shared();
+            let mut store = ObservationStore::open(path).unwrap_or_else(|e| {
+                panic!("cannot open observation store {}: {e}", path.display())
+            });
             let trace = run_adaptive_with_store(
                 &CliteController::default(),
                 &mut testbed,
                 duration,
                 AdaptiveConfig::default(),
-                &store,
+                &mut store,
                 &ambient_telemetry(),
             )
             .expect("adaptive run succeeds");
-            let guard = store.lock().expect("observation store lock");
-            let stats = guard.stats();
+            let stats = store.stats();
             store_line = Some(format!(
                 "observation store: {} warm hits, {} misses, {} samples appended; \
                  {} mixes, {} records kept at {}\n",
                 stats.hits,
                 stats.misses,
                 stats.appends,
-                guard.mix_count(),
-                guard.record_count(),
+                store.mix_count(),
+                store.record_count(),
                 path.display()
             ));
             trace

@@ -19,7 +19,7 @@
 //!    numbers had available.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use clite_cluster::fleet::{FleetConfig, FleetRun, FleetService};
@@ -28,9 +28,7 @@ use clite_cluster::trace::{generate, TraceConfig};
 use clite_faults::{FaultSpec, FaultyFactory};
 use clite_sim::prelude::*;
 use clite_sim::testbed::Testbed;
-use clite_store::{
-    MixSignature, ObservationStore, ShardPolicy, ShardedStore, SharedStore, StorePolicy,
-};
+use clite_store::{MixSignature, ObservationStore, ShardPolicy, ShardedStore, StorePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -272,7 +270,7 @@ fn is_append(op: usize) -> bool {
 /// run inline (under the lock) whenever the garbage threshold trips —
 /// the PR 4 architecture has no other place to put it.
 fn drive_mutex(
-    store: &SharedStore,
+    store: &Mutex<ObservationStore>,
     pool: &[PoolSample],
     threads: usize,
     ops_per_thread: usize,
@@ -360,15 +358,12 @@ fn store_curve(opts: &ExpOptions, dir: &std::path::Path) -> (Vec<StorePoint>, St
 
     {
         let path = dir.join("mutex.obs");
-        let store = ObservationStore::open_with(&path, StorePolicy::default())
-            .expect("mutex store opens")
-            .into_shared();
-        {
-            let mut guard = store.lock().unwrap();
-            prepopulate(&mut |s, score| {
-                let _ = guard.append(&s.signature, &s.partition, &s.observation, score);
-            });
-        }
+        let mut store =
+            ObservationStore::open_with(&path, StorePolicy::default()).expect("mutex store opens");
+        prepopulate(&mut |s, score| {
+            let _ = store.append(&s.signature, &s.partition, &s.observation, score);
+        });
+        let store = Mutex::new(store);
         let wall = drive_mutex(&store, &pool, threads, ops_per_thread);
         let stats = store.lock().unwrap().stats();
         let ops_per_sec = total_ops as f64 / wall.as_secs_f64();

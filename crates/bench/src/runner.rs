@@ -17,7 +17,7 @@ use clite_policies::parties::Parties;
 use clite_policies::policy::{Policy, PolicyOutcome};
 use clite_policies::random_plus::RandomPlus;
 use clite_sim::testbed::{MemoizedTestbed, ObservationCache, OracleTestbed};
-use clite_store::SharedStore;
+use clite_store::ObservationStore;
 use clite_telemetry::{JsonlRecorder, Telemetry};
 
 use crate::mixes::Mix;
@@ -167,7 +167,7 @@ pub fn run_policy_with(
 pub fn run_clite_with_store(
     mix: &Mix,
     seed: u64,
-    store: &SharedStore,
+    store: &mut ObservationStore,
     telemetry: &Telemetry<'_>,
 ) -> PolicyOutcome {
     let mut server = mix.server(seed);
@@ -238,7 +238,7 @@ pub fn run_clite_chaos(
     mix: &Mix,
     seed: u64,
     spec: &FaultSpec,
-    store: Option<&SharedStore>,
+    store: Option<&mut ObservationStore>,
     telemetry: &Telemetry<'_>,
 ) -> ChaosOutcome {
     let mut server = FaultyTestbed::new(mix.server(seed), spec.clone(), seed);
@@ -379,13 +379,11 @@ mod tests {
 
     #[test]
     fn stored_rerun_warm_starts() {
-        use clite_store::ObservationStore;
-
         let mix = fig7_mix(0.2, 0.2, 0.2);
-        let store = ObservationStore::in_memory().into_shared();
-        let cold = run_clite_with_store(&mix, 3, &store, &Telemetry::disabled());
-        let warm = run_clite_with_store(&mix, 3, &store, &Telemetry::disabled());
-        let stats = store.lock().unwrap().stats();
+        let mut store = ObservationStore::in_memory();
+        let cold = run_clite_with_store(&mix, 3, &mut store, &Telemetry::disabled());
+        let warm = run_clite_with_store(&mix, 3, &mut store, &Telemetry::disabled());
+        let stats = store.stats();
         assert_eq!(stats.misses, 1, "first run is cold");
         assert!(stats.hits >= 1, "second run must warm-start");
         assert!(warm.qos_met);

@@ -1,11 +1,13 @@
 //! A single server in the fleet and its committed job set.
 
+use std::sync::Arc;
+
 use clite::config::CliteConfig;
 use clite::controller::CliteController;
 use clite::trace::CliteOutcome;
 use clite_sim::prelude::*;
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
-use clite_store::{MixSignature, StoreHandle};
+use clite_store::{MixSignature, ShardedStore};
 use clite_telemetry::Telemetry;
 
 use crate::wire::NodeSnapshot;
@@ -75,7 +77,7 @@ pub struct Node<F: TestbedFactory = ServerFactory> {
     searches_run: usize,
     samples_spent: u64,
     commits: u64,
-    store: Option<StoreHandle>,
+    store: Option<Arc<ShardedStore>>,
     alive: bool,
 }
 
@@ -148,20 +150,18 @@ impl<F: TestbedFactory> Node<F> {
         }
     }
 
-    /// Attaches a shared observation store — either a
-    /// [`clite_store::SharedStore`] or a [`clite_store::ShardedStore`]
-    /// handle: admission probes and re-partitioning searches warm-start
-    /// from it, and committed searches append their samples back (see
-    /// [`Node::commit_admission`]).
+    /// Attaches a shared observation store: admission probes and
+    /// re-partitioning searches warm-start from it, and committed searches
+    /// append their samples back (see [`Node::commit_admission`]).
     #[must_use]
-    pub fn with_store(mut self, store: impl Into<StoreHandle>) -> Self {
-        self.store = Some(store.into());
+    pub fn with_store(mut self, store: Arc<ShardedStore>) -> Self {
+        self.store = Some(store);
         self
     }
 
     /// Installs (or replaces) the shared observation store in place.
-    pub fn set_store(&mut self, store: impl Into<StoreHandle>) {
-        self.store = Some(store.into());
+    pub fn set_store(&mut self, store: Arc<ShardedStore>) {
+        self.store = Some(store);
     }
 
     /// Node id within the cluster.
@@ -366,7 +366,9 @@ impl<F: TestbedFactory> Node<F> {
     }
 
     /// Tries to admit `job`: runs a CLITE search on the tentative job set
-    /// and commits only if every LC job (old and new) meets QoS.
+    /// and commits only if every LC job (old and new) meets QoS — one
+    /// [`Node::plan_admission`], charged with [`Node::record_probe`] and
+    /// kept with [`Node::commit_admission`] when feasible.
     ///
     /// Returns `Ok(true)` and keeps the job (plus the found partition) on
     /// success; returns `Ok(false)` and leaves the node unchanged when the
@@ -380,22 +382,7 @@ impl<F: TestbedFactory> Node<F> {
         job: PlacedJob,
         config: &CliteConfig,
     ) -> Result<bool, ClusterError> {
-        self.try_admit_with(job, config, &Telemetry::disabled())
-    }
-
-    /// [`try_admit`](Node::try_admit) with telemetry forwarded to the
-    /// admission search.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller/simulator failures.
-    pub fn try_admit_with(
-        &mut self,
-        job: PlacedJob,
-        config: &CliteConfig,
-        telemetry: &Telemetry<'_>,
-    ) -> Result<bool, ClusterError> {
-        let Some(plan) = self.plan_admission(job, config, telemetry)? else {
+        let Some(plan) = self.plan_admission(job, config, &Telemetry::disabled())? else {
             return Ok(false);
         };
         self.record_probe(&plan);
@@ -617,10 +604,10 @@ mod tests {
 
     #[test]
     fn store_backed_node_warm_starts_repeat_mixes() {
-        use clite_store::ObservationStore;
+        use clite_store::ShardPolicy;
 
-        let store = ObservationStore::in_memory().into_shared();
-        let mut n = node().with_store(store.clone());
+        let store = ShardedStore::in_memory(ShardPolicy::with_shards(1));
+        let mut n = node().with_store(Arc::clone(&store));
         let base = JobSpec::latency_critical(WorkloadId::Memcached, 0.3);
         let spec = JobSpec::latency_critical(WorkloadId::Xapian, 0.3);
 
@@ -630,11 +617,8 @@ mod tests {
         let after_first = n.samples_spent();
         assert!(n.try_admit(PlacedJob { id: 2, spec: spec.clone() }, &quick_config()).unwrap());
         let cold_two_job = n.samples_spent() - after_first;
-        {
-            let guard = store.lock().unwrap();
-            assert_eq!(guard.stats().misses, 2, "both cold probes miss");
-            assert!(guard.stats().appends > 0);
-        }
+        assert_eq!(store.stats().misses, 2, "both cold probes miss");
+        assert!(store.stats().appends > 0);
 
         // Departure + identical re-admission probes the same 2-job mix:
         // the plan warm-starts from the committed samples and spends
@@ -643,7 +627,7 @@ mod tests {
         let before_warm = n.samples_spent();
         assert!(n.try_admit(PlacedJob { id: 3, spec }, &quick_config()).unwrap());
         let warm_two_job = n.samples_spent() - before_warm;
-        assert!(store.lock().unwrap().stats().hits >= 1);
+        assert!(store.stats().hits >= 1);
         assert!(
             warm_two_job < cold_two_job,
             "warm re-admission spent {warm_two_job} windows, cold spent {cold_two_job}"

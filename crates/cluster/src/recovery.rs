@@ -27,9 +27,10 @@
 //! bounded restart budget is exhausted.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
-use clite_store::{blob, BlobRead, EventJournal, StoreError, StoreHandle};
+use clite_store::{blob, BlobRead, EventJournal, ShardedStore, StoreError};
 use clite_telemetry::{Event, Telemetry};
 
 use crate::event::TimedEvent;
@@ -169,7 +170,7 @@ impl<F: TestbedFactory + Sync + Clone> DurableFleet<F> {
         factory: F,
         dir: &Path,
         durable: DurableConfig,
-        store: Option<StoreHandle>,
+        store: Option<Arc<ShardedStore>>,
         telemetry: &Telemetry<'_>,
     ) -> Result<Self, ClusterError> {
         let (journal, journal_rec) = EventJournal::open(&journal_path(dir))?;
@@ -184,14 +185,13 @@ impl<F: TestbedFactory + Sync + Clone> DurableFleet<F> {
         let (service, placements, checkpoint_seqno) = match checkpoint {
             Some(ckpt) => {
                 let seqno = ckpt.seqno;
-                let (service, placements) =
-                    FleetService::restore(ckpt, config, factory, store.clone())?;
+                let (service, placements) = FleetService::restore(ckpt, config, factory, store)?;
                 (service, placements, seqno)
             }
             None => {
                 let mut service = FleetService::with_factory(nodes, config, seed, factory)?;
-                if let Some(handle) = store.clone() {
-                    service = service.with_store(handle);
+                if let Some(store) = store {
+                    service = service.with_store(store);
                 }
                 (service, Vec::new(), 0)
             }
@@ -236,7 +236,7 @@ impl<F: TestbedFactory + Sync + Clone> DurableFleet<F> {
     /// Attaches an observation store to every node (see the module docs:
     /// the byte-identity guarantee is storeless).
     #[must_use]
-    pub fn with_store(mut self, store: impl Into<StoreHandle>) -> Self {
+    pub fn with_store(mut self, store: Arc<ShardedStore>) -> Self {
         self.service = self.service.with_store(store);
         self
     }

@@ -1,12 +1,13 @@
 //! Cluster-level admission control.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use clite::config::CliteConfig;
 use clite_bo::termination::Termination;
 use clite_sim::prelude::*;
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
-use clite_store::StoreHandle;
+use clite_store::ShardedStore;
 use clite_telemetry::{Event, Phase, Telemetry};
 
 use crate::node::{AdmissionPlan, Node, PlacedJob};
@@ -15,25 +16,28 @@ use crate::stats::ClusterStats;
 use crate::wire::SchedulerSnapshot;
 use crate::ClusterError;
 
-/// How a submission's admission searches run across candidate nodes.
+/// Where a submission's per-candidate probe results come from.
 ///
-/// Both modes commit identical placements under a fixed seed: probe seeds
-/// are a pure function of each node's committed state, candidates are
-/// resolved in placement order, and only the probes a serial scan would
-/// have paid for are charged to node statistics. Threaded mode merely
-/// overlaps the (independent, speculative) per-node searches on the
-/// shared [`clite_par`] worker pool — one slot per candidate, executed by
-/// however many pool threads are free, so concurrent admissions (and the
-/// nested per-node search parallelism inside each probe) can never spawn
-/// more OS threads than the pool owns.
+/// Admission is one walk over the candidates in placement order: it
+/// checks the per-admission deadline, charges each probe it reaches to its
+/// node, commits the first feasible plan and evicts nodes whose probe
+/// crashed. The mode decides only when the probes run. Both modes commit
+/// identical placements under a fixed seed: probe seeds are a pure
+/// function of each node's committed state, and the walk charges exactly
+/// the probes it reaches, so probes past the winner leave no trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionMode {
-    /// Probe candidate nodes one at a time, stopping at the first
-    /// feasible one.
+    /// Each candidate is probed inline when the walk reaches it, so no
+    /// probe runs past the first feasible node.
     #[default]
     Serial,
-    /// Probe every candidate node concurrently, then commit the first
-    /// feasible plan in placement order.
+    /// Every candidate is probed up front in one dispatch on the shared
+    /// [`clite_par`] worker pool — one slot per candidate, executed by
+    /// however many pool threads are free, so concurrent admissions (and
+    /// the nested per-node search parallelism inside each probe) never
+    /// spawn more OS threads than the pool owns. The walk then consumes
+    /// the results; those past the winner are speculative work thrown
+    /// away.
     Threaded,
 }
 
@@ -42,7 +46,7 @@ pub enum AdmissionMode {
 pub struct SchedulerConfig {
     /// Node try-order policy.
     pub placement: PlacementPolicy,
-    /// Serial or threaded admission probing.
+    /// Inline or pool-dispatched admission probes.
     pub admission: AdmissionMode,
     /// CLITE configuration used for admission searches. The default uses
     /// a tighter iteration cap than a standalone run: admission needs a
@@ -53,15 +57,15 @@ pub struct SchedulerConfig {
     /// size, probing every candidate makes each admission O(fleet)
     /// searches; the placement policy's ordering makes the first few
     /// candidates the likely winners, so a small cap is the "local
-    /// refinement" half of the mean-field policy. Applied identically in
-    /// serial and threaded modes, so byte-identity is unaffected.
+    /// refinement" half of the mean-field policy. Applied before the
+    /// candidates are probed, in either admission mode.
     pub probe_limit: Option<usize>,
     /// Per-admission deadline budget in observation windows: once the
     /// windows recorded against candidates for *this* admission reach the
     /// budget, the remaining candidates are not probed (the arrival is
-    /// rejected if none was feasible yet). Checked before each candidate
-    /// in both admission modes at the same points a serial scan would, so
-    /// byte-identity is unaffected. `None` disables the deadline.
+    /// rejected if none was feasible yet). Checked by the admission walk
+    /// before each candidate, in either admission mode. `None` disables
+    /// the deadline.
     pub deadline_samples: Option<u64>,
     /// Retry budget for transient enforce/observe faults inside each
     /// admission search, overriding the CLITE config's
@@ -122,8 +126,8 @@ pub struct ClusterScheduler<F: TestbedFactory = ServerFactory> {
     factory: F,
     /// Base seed; node `i` searches from `base_seed + 1000·i`.
     base_seed: u64,
-    /// Store handle handed to onboarded nodes.
-    store: Option<StoreHandle>,
+    /// Store handed to onboarded nodes.
+    store: Option<Arc<ShardedStore>>,
     /// job id → node id for O(1) departures and load shifts.
     job_index: HashMap<u64, usize>,
     /// Fleet statistics maintained incrementally: every probe, commit,
@@ -189,21 +193,19 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
         })
     }
 
-    /// Attaches one shared observation store to every node in the fleet —
-    /// a [`clite_store::SharedStore`] or a [`clite_store::ShardedStore`]
-    /// handle: admission probes and re-partitioning searches warm-start
-    /// from the pooled samples, and committed searches append back to it.
-    /// Because probes only read the store and appends happen at commit,
-    /// serial and threaded admission still place identical fleets, and
-    /// because lookups depend only on per-mix bucket content, so does
-    /// every shard count.
+    /// Attaches one shared observation store to every node in the fleet:
+    /// admission probes and re-partitioning searches warm-start from the
+    /// pooled samples, and committed searches append back to it. Because
+    /// probes only read the store and appends happen at commit, serial
+    /// and threaded admission still place identical fleets, and because
+    /// lookups depend only on per-mix bucket content, so does every shard
+    /// count.
     #[must_use]
-    pub fn with_store(mut self, store: impl Into<StoreHandle>) -> Self {
-        let handle = store.into();
+    pub fn with_store(mut self, store: Arc<ShardedStore>) -> Self {
         for node in &mut self.nodes {
-            node.set_store(handle.clone());
+            node.set_store(Arc::clone(&store));
         }
-        self.store = Some(handle);
+        self.store = Some(store);
         self
     }
 
@@ -243,7 +245,7 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
                 self.factory.clone(),
             );
             if let Some(store) = &self.store {
-                node.set_store(store.clone());
+                node.set_store(Arc::clone(store));
             }
             self.stats.add_node(&node);
             self.nodes.push(node);
@@ -335,7 +337,7 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
 
     /// Rebuilds a scheduler from a checkpoint snapshot. The job index and
     /// cluster statistics are re-derived from the restored nodes; the
-    /// store handle, when given, is reattached to every node (recovered
+    /// store, when given, is reattached to every node (recovered
     /// byte-identity is only guaranteed storeless — a warm store changes
     /// future searches, exactly as it would on a never-crashed run that
     /// pre-warmed it differently).
@@ -347,7 +349,7 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
         snap: SchedulerSnapshot,
         config: SchedulerConfig,
         factory: F,
-        store: Option<StoreHandle>,
+        store: Option<Arc<ShardedStore>>,
     ) -> Result<Self, ClusterError>
     where
         F: Clone,
@@ -360,9 +362,9 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
             .into_iter()
             .map(|n| Node::from_snapshot(n, ResourceCatalog::testbed(), factory.clone()))
             .collect();
-        if let Some(handle) = &store {
+        if let Some(store) = &store {
             for node in &mut nodes {
-                node.set_store(handle.clone());
+                node.set_store(Arc::clone(store));
             }
         }
         let mut job_index = HashMap::new();
@@ -412,10 +414,7 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
         if let Some(limit) = self.config.probe_limit {
             order.truncate(limit.max(1));
         }
-        let (winner, orphans) = match self.config.admission {
-            AdmissionMode::Serial => self.admit_serial(&order, &job, telemetry)?,
-            AdmissionMode::Threaded => self.admit_threaded(&order, &job, telemetry)?,
-        };
+        let (winner, orphans) = self.admit_candidates(&order, &job, telemetry)?;
         if let Some(node_id) = winner {
             self.job_index.insert(job_id, node_id);
         }
@@ -444,91 +443,40 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
         orphans
     }
 
-    /// Serial admission: probe candidates one at a time, committing to
-    /// the first feasible node. A probe that surfaces a node crash evicts
-    /// that node (its drained jobs are returned for re-placement) and the
-    /// scan continues on the remaining candidates. The per-admission
-    /// deadline budget is checked *before* each probe: once the windows
-    /// recorded for this admission reach it, remaining candidates are
-    /// skipped entirely.
-    fn admit_serial(
+    /// The admission walk: candidates in placement order, committing to
+    /// the first feasible one. The per-admission deadline budget is
+    /// checked *before* each candidate: once the windows recorded for this
+    /// admission reach it, the remaining candidates are skipped. A probe
+    /// that surfaces a node crash evicts that node (its drained jobs are
+    /// returned for re-placement) and the walk continues. Candidates the
+    /// walk never reaches are discarded unrecorded, crashes included: a
+    /// pool-dispatched probe that crashed past the winner leaves its node
+    /// alive, exactly as if it had never run. Fault streams are a pure
+    /// function of each node's committed state (seeded per probe), so both
+    /// [`AdmissionMode`]s see identical crashes and produce identical
+    /// fleets and statistics under a fixed seed.
+    fn admit_candidates(
         &mut self,
         order: &[usize],
         job: &PlacedJob,
         telemetry: &Telemetry<'_>,
     ) -> Result<(Option<usize>, Vec<PlacedJob>), ClusterError> {
+        let mut dispatched = match self.config.admission {
+            AdmissionMode::Serial => None,
+            AdmissionMode::Threaded => Some(self.probe_all(order, job, telemetry).into_iter()),
+        };
         let mut orphans = Vec::new();
         let mut spent: u64 = 0;
         for &node_id in order {
             if self.config.deadline_samples.is_some_and(|budget| spent >= budget) {
                 break;
             }
-            let before = self.nodes[node_id].samples_spent();
-            match self.nodes[node_id].try_admit_with(job.clone(), &self.config.clite, telemetry) {
-                Ok(admitted) => {
-                    spent += self.nodes[node_id].samples_spent() - before;
-                    self.stats.refresh_node(&self.nodes[node_id]);
-                    if admitted {
-                        return Ok((Some(node_id), orphans));
-                    }
+            let result = match &mut dispatched {
+                Some(results) => results.next().expect("one probe result per candidate"),
+                None => {
+                    self.nodes[node_id].plan_admission(job.clone(), &self.config.clite, telemetry)
                 }
-                Err(e) if e.is_node_crash() => {
-                    orphans.extend(self.evict_node(node_id, telemetry));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((None, orphans))
-    }
-
-    /// Threaded admission: probe every candidate concurrently, then walk
-    /// the results in placement order, charging each probed node and
-    /// committing the first feasible plan. Results past the winner are
-    /// discarded *unrecorded* — a serial scan would never have run them —
-    /// and that includes crashes: a node whose probe crashed after the
-    /// winner's position stays alive, exactly as if it had never been
-    /// probed. Crashes at or before the winner evict the node just as the
-    /// serial scan would. Fault streams are a pure function of each node's
-    /// committed state (seeded per probe), so serial and threaded runs see
-    /// identical crashes and produce identical fleets and statistics under
-    /// a fixed seed.
-    fn admit_threaded(
-        &mut self,
-        order: &[usize],
-        job: &PlacedJob,
-        telemetry: &Telemetry<'_>,
-    ) -> Result<(Option<usize>, Vec<PlacedJob>), ClusterError> {
-        let recorder = telemetry.recorder();
-        let config = &self.config.clite;
-        let nodes = &self.nodes;
-        // One pool slot per candidate: probes are independent and pure
-        // given each node's committed state, so results depend only on
-        // the candidate order, never on which pool thread ran a probe.
-        let results: Vec<Result<Option<AdmissionPlan>, ClusterError>> =
-            telemetry.time(Phase::ParDispatch, || {
-                clite_par::map_indexed(
-                    clite_par::WorkerPool::global(),
-                    order.len(),
-                    order,
-                    || (),
-                    |(), _, &node_id| {
-                        // Telemetry contexts are single-threaded (interior
-                        // phase-timer state), so each slot wraps the shared
-                        // thread-safe recorder in its own.
-                        let local = Telemetry::new(recorder);
-                        nodes[node_id].plan_admission(job.clone(), config, &local)
-                    },
-                )
-            });
-        let mut orphans = Vec::new();
-        let mut spent: u64 = 0;
-        for (result, &node_id) in results.into_iter().zip(order) {
-            // Deadline check mirrors the serial scan's: a candidate the
-            // serial loop would never have probed is discarded unrecorded
-            // here, crashes included.
-            if self.config.deadline_samples.is_some_and(|budget| spent >= budget) {
-                break;
-            }
+            };
             match result {
                 Ok(Some(plan)) => {
                     spent += plan.outcome().samples_used() as u64;
@@ -552,6 +500,36 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
             }
         }
         Ok((None, orphans))
+    }
+
+    /// Probes every candidate at once on the shared pool, returning the
+    /// results in candidate order. Probes are independent and pure given
+    /// each node's committed state, so the results never depend on which
+    /// pool thread ran a probe.
+    fn probe_all(
+        &self,
+        order: &[usize],
+        job: &PlacedJob,
+        telemetry: &Telemetry<'_>,
+    ) -> Vec<Result<Option<AdmissionPlan>, ClusterError>> {
+        let recorder = telemetry.recorder();
+        let config = &self.config.clite;
+        let nodes = &self.nodes;
+        telemetry.time(Phase::ParDispatch, || {
+            clite_par::map_indexed(
+                clite_par::WorkerPool::global(),
+                order.len(),
+                order,
+                || (),
+                |(), _, &node_id| {
+                    // Telemetry contexts are single-threaded (interior
+                    // phase-timer state), so each slot wraps the shared
+                    // thread-safe recorder in its own.
+                    let local = Telemetry::new(recorder);
+                    nodes[node_id].plan_admission(job.clone(), config, &local)
+                },
+            )
+        })
     }
 
     /// Removes a placed job (departure) and re-partitions its node.

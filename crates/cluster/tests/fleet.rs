@@ -10,7 +10,7 @@ use clite_cluster::fleet::{FleetConfig, FleetRun, FleetService};
 use clite_cluster::scheduler::AdmissionMode;
 use clite_cluster::stats::ClusterStats;
 use clite_cluster::trace::{generate, TraceConfig};
-use clite_store::{ObservationStore, ShardPolicy, ShardedStore, StoreHandle};
+use clite_store::{ShardPolicy, ShardedStore};
 use clite_telemetry::Telemetry;
 
 const NODES: usize = 256;
@@ -42,7 +42,7 @@ fn config(mode: AdmissionMode) -> FleetConfig {
     config
 }
 
-fn run(mode: AdmissionMode, store: Option<StoreHandle>) -> FleetRun {
+fn run(mode: AdmissionMode, store: Option<Arc<ShardedStore>>) -> FleetRun {
     let mut fleet = FleetService::new(NODES, config(mode), SEED).expect("fleet");
     if let Some(store) = store {
         fleet = fleet.with_store(store);
@@ -102,27 +102,32 @@ fn serial_and_threaded_fleets_are_byte_identical_at_256_nodes() {
     assert_eq!(serial.stats.nodes.len(), NODES + serial.counters.nodes_onboarded as usize);
 }
 
+/// A 1-shard store: the reference every other shard count must match.
+/// (1 shard ≡ the plain `ObservationStore` is pinned at the store level by
+/// `clite-store`'s `shard_invariance` suite.)
+fn one_shard() -> Arc<ShardedStore> {
+    ShardedStore::in_memory(ShardPolicy::with_shards(1))
+}
+
 #[test]
 fn shard_count_does_not_change_fleet_outcomes() {
-    let single: StoreHandle = ObservationStore::in_memory().into_shared().into();
-    let reference = run(AdmissionMode::Serial, Some(single));
+    let reference = run(AdmissionMode::Serial, Some(one_shard()));
     for shards in [1usize, 4, 16] {
         let store: Arc<ShardedStore> = ShardedStore::in_memory(ShardPolicy::with_shards(shards));
-        let got = run(AdmissionMode::Serial, Some(store.clone().into()));
-        assert_eq!(got, reference, "{shards}-shard fleet diverged from the single-lock store");
+        let got = run(AdmissionMode::Serial, Some(Arc::clone(&store)));
+        assert_eq!(got, reference, "{shards}-shard fleet diverged from the 1-shard reference");
         assert!(store.stats().appends > 0, "committed searches must reach the store");
     }
 }
 
 #[test]
-fn threaded_sharded_fleet_matches_serial_single_lock() {
-    // The headline contract from the issue: serial over one mutex-guarded
-    // store vs threaded over a sharded store — every layer swapped at
-    // once, still byte-identical.
-    let single: StoreHandle = ObservationStore::in_memory().into_shared().into();
-    let serial = run(AdmissionMode::Serial, Some(single));
+fn threaded_sharded_fleet_matches_serial_one_shard() {
+    // Serial over a 1-shard store vs threaded over an 8-shard store —
+    // admission mode and shard count swapped at once, still
+    // byte-identical.
+    let serial = run(AdmissionMode::Serial, Some(one_shard()));
     let sharded: Arc<ShardedStore> = ShardedStore::in_memory(ShardPolicy::with_shards(8));
-    let threaded = run(AdmissionMode::Threaded, Some(sharded.into()));
+    let threaded = run(AdmissionMode::Threaded, Some(sharded));
     assert_eq!(serial, threaded);
 }
 

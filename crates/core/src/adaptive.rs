@@ -15,7 +15,7 @@ use serde::Serialize;
 use clite_sim::alloc::Partition;
 use clite_sim::metrics::Observation;
 use clite_sim::testbed::Testbed;
-use clite_store::SharedStore;
+use clite_store::ObservationStore;
 use clite_telemetry::{Event, Telemetry};
 
 use crate::controller::{fault_kind, CliteController};
@@ -117,7 +117,7 @@ pub fn run_adaptive_with_store<T: Testbed>(
     server: &mut T,
     duration_s: f64,
     config: AdaptiveConfig,
-    store: &SharedStore,
+    store: &mut ObservationStore,
     telemetry: &Telemetry<'_>,
 ) -> Result<AdaptiveTrace, CliteError> {
     run_adaptive_inner(controller, server, duration_s, config, Some(store), telemetry)
@@ -128,7 +128,7 @@ fn run_adaptive_inner<T: Testbed>(
     server: &mut T,
     duration_s: f64,
     config: AdaptiveConfig,
-    store: Option<&SharedStore>,
+    mut store: Option<&mut ObservationStore>,
     telemetry: &Telemetry<'_>,
 ) -> Result<AdaptiveTrace, CliteError> {
     let mut points: Vec<AdaptivePoint> = Vec::new();
@@ -139,7 +139,7 @@ fn run_adaptive_inner<T: Testbed>(
     'outer: while server.time_s() < duration_s {
         // ── Search phase ─────────────────────────────────────────────────
         invocations += 1;
-        let outcome = match store {
+        let outcome = match store.as_deref_mut() {
             Some(store) => controller.run_with_store(server, store, telemetry),
             None => controller.run_with(server, telemetry),
         };
@@ -330,13 +330,13 @@ mod tests {
             JobSpec::background(WorkloadId::Fluidanimate),
         ];
         let mut server = Server::new(ResourceCatalog::testbed(), jobs, 21).unwrap();
-        let store = ObservationStore::in_memory().into_shared();
+        let mut store = ObservationStore::in_memory();
         let trace = run_adaptive_with_store(
             &CliteController::default(),
             &mut server,
             740.0,
             AdaptiveConfig::default(),
-            &store,
+            &mut store,
             &Telemetry::disabled(),
         )
         .unwrap();
@@ -351,10 +351,7 @@ mod tests {
         let cold = segments[0];
         let warm = segments[2];
         assert!(warm < cold, "warm re-invocation used {warm} search windows, cold used {cold}");
-        {
-            let guard = store.lock().unwrap();
-            assert!(guard.stats().hits >= 1, "third invocation must hit the store");
-        }
+        assert!(store.stats().hits >= 1, "third invocation must hit the store");
         // Store or not, the trace stays time-ordered.
         for w in trace.points.windows(2) {
             assert!(w[1].time_s >= w[0].time_s);

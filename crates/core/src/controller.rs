@@ -27,7 +27,7 @@ use clite_sim::metrics::Observation;
 use clite_sim::testbed::Testbed;
 use clite_sim::workload::JobClass;
 use clite_sim::SimError;
-use clite_store::{MixSignature, SharedStore, WarmStart};
+use clite_store::{MixSignature, ObservationStore, WarmStart};
 use clite_telemetry::{Event, Phase, StopReason, Telemetry};
 
 use crate::config::{CliteConfig, DropoutPolicy, RecoveryConfig};
@@ -123,29 +123,22 @@ impl CliteController {
     pub fn run_with_store<T: Testbed>(
         &self,
         server: &mut T,
-        store: &SharedStore,
+        store: &mut ObservationStore,
         telemetry: &Telemetry<'_>,
     ) -> Result<CliteOutcome, CliteError> {
         let signature = MixSignature::capture(server);
-        let warm = {
-            let mut guard = store.lock().expect("observation store lock");
-            guard.warm_start_with(&signature, telemetry)
-        };
-        let outcome = match &warm {
-            Some(warm) => self.run_warmed(server, warm, telemetry)?,
+        let outcome = match store.warm_start_with(&signature, telemetry) {
+            Some(warm) => self.run_warmed(server, &warm, telemetry)?,
             None => self.run_with(server, telemetry)?,
         };
-        {
-            let mut guard = store.lock().expect("observation store lock");
-            for rec in &outcome.samples {
-                guard.append_with(
-                    &signature,
-                    &rec.partition,
-                    &rec.observation,
-                    rec.score.value,
-                    telemetry,
-                )?;
-            }
+        for rec in &outcome.samples {
+            store.append_with(
+                &signature,
+                &rec.partition,
+                &rec.observation,
+                rec.score.value,
+                telemetry,
+            )?;
         }
         Ok(outcome)
     }
@@ -986,24 +979,21 @@ mod tests {
     fn warm_run_reaches_qos_in_fewer_windows_than_cold() {
         use clite_store::ObservationStore;
 
-        let store = ObservationStore::in_memory().into_shared();
+        let mut store = ObservationStore::in_memory();
         let controller = CliteController::default();
         let telemetry = Telemetry::disabled();
 
         let mut s1 = server(easy_mix(), 9);
-        let cold = controller.run_with_store(&mut s1, &store, &telemetry).unwrap();
+        let cold = controller.run_with_store(&mut s1, &mut store, &telemetry).unwrap();
         assert!(cold.qos_met());
 
         // Same mix, fresh server: the second invocation must hit the store
         // and converge in strictly fewer observation windows.
         let mut s2 = server(easy_mix(), 9);
-        let warm = controller.run_with_store(&mut s2, &store, &telemetry).unwrap();
+        let warm = controller.run_with_store(&mut s2, &mut store, &telemetry).unwrap();
         assert!(warm.qos_met());
-        {
-            let guard = store.lock().unwrap();
-            assert_eq!(guard.stats().hits, 1);
-            assert_eq!(guard.stats().misses, 1);
-        }
+        assert_eq!(store.stats().hits, 1);
+        assert_eq!(store.stats().misses, 1);
         assert!(
             warm.samples_used() < cold.samples_used(),
             "warm {} windows must beat cold {}",
@@ -1019,13 +1009,13 @@ mod tests {
         use clite_store::ObservationStore;
 
         let run_pair = || {
-            let store = ObservationStore::in_memory().into_shared();
+            let mut store = ObservationStore::in_memory();
             let controller = CliteController::default();
             let telemetry = Telemetry::disabled();
             let mut s1 = server(easy_mix(), 12);
-            controller.run_with_store(&mut s1, &store, &telemetry).unwrap();
+            controller.run_with_store(&mut s1, &mut store, &telemetry).unwrap();
             let mut s2 = server(easy_mix(), 12);
-            controller.run_with_store(&mut s2, &store, &telemetry).unwrap()
+            controller.run_with_store(&mut s2, &mut store, &telemetry).unwrap()
         };
         let a = run_pair();
         let b = run_pair();
@@ -1041,24 +1031,23 @@ mod tests {
     fn store_misses_on_different_mix_and_runs_cold() {
         use clite_store::ObservationStore;
 
-        let store = ObservationStore::in_memory().into_shared();
+        let mut store = ObservationStore::in_memory();
         let controller = CliteController::default();
         let telemetry = Telemetry::disabled();
         let mut s1 = server(easy_mix(), 10);
-        controller.run_with_store(&mut s1, &store, &telemetry).unwrap();
+        controller.run_with_store(&mut s1, &mut store, &telemetry).unwrap();
 
         let other = vec![
             JobSpec::latency_critical(WorkloadId::Xapian, 0.2),
             JobSpec::background(WorkloadId::Freqmine),
         ];
         let mut s2 = server(other, 10);
-        let outcome = controller.run_with_store(&mut s2, &store, &telemetry).unwrap();
+        let outcome = controller.run_with_store(&mut s2, &mut store, &telemetry).unwrap();
         // Cold path: full bootstrap ran (N_jobs + 1 bootstrap samples).
         assert_eq!(outcome.samples.iter().filter(|r| r.bootstrap).count(), 3);
-        let guard = store.lock().unwrap();
-        assert_eq!(guard.stats().hits, 0);
-        assert_eq!(guard.stats().misses, 2);
-        assert_eq!(guard.mix_count(), 2);
+        assert_eq!(store.stats().hits, 0);
+        assert_eq!(store.stats().misses, 2);
+        assert_eq!(store.mix_count(), 2);
     }
 
     #[test]

@@ -55,4 +55,4 @@ pub use error::CliteError;
 
 // Store types appear in controller signatures; re-export them so callers
 // don't need a direct clite-store dependency for the common path.
-pub use clite_store::{MixSignature, ObservationStore, SharedStore, StorePolicy, WarmStart};
+pub use clite_store::{MixSignature, ObservationStore, StorePolicy, WarmStart};

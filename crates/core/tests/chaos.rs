@@ -70,10 +70,10 @@ fn default_chaos_completes_or_degrades_without_panic() {
     for seed in 0..8u64 {
         let recorder = MemoryRecorder::new();
         let telemetry = Telemetry::new(&recorder);
-        let store = ObservationStore::in_memory().into_shared();
+        let mut store = ObservationStore::in_memory();
         let mut faulty = FaultyTestbed::new(server(seed), FaultSpec::default_chaos(), seed);
 
-        match controller.run_with_store(&mut faulty, &store, &telemetry) {
+        match controller.run_with_store(&mut faulty, &mut store, &telemetry) {
             Ok(outcome) => {
                 completed += 1;
                 assert_eq!(
@@ -86,9 +86,8 @@ fn default_chaos_completes_or_degrades_without_panic() {
                     outcome.quarantined,
                     "every quarantine must be reported"
                 );
-                let guard = store.lock().unwrap();
                 assert_eq!(
-                    guard.stats().appends as usize,
+                    store.stats().appends as usize,
                     outcome.samples.len(),
                     "quarantined windows must never reach the store"
                 );

@@ -33,9 +33,9 @@ pub mod store;
 pub use blob::BlobRead;
 pub use codec::DecodeError;
 pub use journal::{EventJournal, JournalRecord, JournalRecovery};
-pub use shard::{ShardPolicy, ShardedStore, StoreHandle};
+pub use shard::{ShardPolicy, ShardedStore};
 pub use signature::{JobSignature, MixKey, MixSignature};
-pub use store::{ObservationStore, SharedStore, StorePolicy, StoreStats, WarmEntry, WarmStart};
+pub use store::{ObservationStore, StorePolicy, StoreStats, WarmEntry, WarmStart};
 
 use clite_sim::alloc::Partition;
 use clite_sim::metrics::Observation;

@@ -1,9 +1,10 @@
 //! Sharded store front-end: per-shard locks, a read fast path, and
 //! background compaction.
 //!
-//! One fleet-wide `Arc<Mutex<ObservationStore>>` serializes every probe's
-//! warm-start lookup behind every commit's append. [`ShardedStore`] splits
-//! the store into `N` independent [`ObservationStore`]s and routes each
+//! [`ShardedStore`] is the store shape every concurrent caller (the
+//! cluster's nodes, the fleet service) shares; single-threaded callers
+//! hold a plain `&mut ObservationStore` instead. It splits the store
+//! into `N` independent [`ObservationStore`]s and routes each
 //! signature by [`MixSignature::shard_hash`] — a stable FNV-1a hash of the
 //! mix *key* (catalog, workloads, classes, QoS; load excluded), so every
 //! load point of one mix lands on the same shard and nearby-load reuse
@@ -44,7 +45,7 @@ use clite_sim::metrics::Observation;
 use clite_telemetry::{Event, Telemetry};
 
 use crate::signature::MixSignature;
-use crate::store::{ObservationStore, SharedStore, StorePolicy, StoreStats, WarmStart};
+use crate::store::{ObservationStore, StorePolicy, StoreStats, WarmStart};
 use crate::StoreResult;
 
 /// Tunables for the sharded front-end.
@@ -296,12 +297,6 @@ impl ShardedStore {
         result
     }
 
-    /// Records an append failure observed by a best-effort caller (e.g. a
-    /// cluster commit that logged the error and moved on).
-    pub fn note_append_error(&self, signature: &MixSignature) {
-        self.shards[self.shard_for(signature)].write().note_append_error();
-    }
-
     fn wants_compaction(&self, store: &ObservationStore) -> bool {
         store.log_records() >= self.policy.compaction_min_log_records
             && store.garbage_ratio() > self.policy.compaction_garbage_ratio
@@ -312,14 +307,11 @@ impl ShardedStore {
         if shard.compaction_queued.swap(true, Ordering::AcqRel) {
             return; // already queued or running
         }
-        let queued =
-            match &*self.compactor.lock().unwrap_or_else(std::sync::PoisonError::into_inner) {
-                Some(tx) => tx.send(idx).is_ok(),
-                None => false,
-            };
-        if !queued {
-            // No worker (disabled, in-memory, or exiting): leave the flag
-            // set so compact_pending() picks the shard up synchronously.
+        // With no worker (disabled, in-memory, or exiting) the flag stays
+        // set, so compact_pending() picks the shard up synchronously.
+        if let Some(tx) = &*self.compactor.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        {
+            let _ = tx.send(idx);
         }
     }
 
@@ -464,89 +456,4 @@ fn shard_path(path: &Path, i: usize) -> std::path::PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(format!(".shard{i}"));
     std::path::PathBuf::from(os)
-}
-
-/// A handle to either store shape, so call sites (the cluster `Node`)
-/// stay agnostic: one mutex-guarded [`ObservationStore`] (the PR 4
-/// layout, still used by the controller CLI) or a [`ShardedStore`].
-#[derive(Debug, Clone)]
-pub enum StoreHandle {
-    /// One store behind one exclusive lock.
-    Single(SharedStore),
-    /// Sharded front-end.
-    Sharded(Arc<ShardedStore>),
-}
-
-impl StoreHandle {
-    /// Warm-start lookup (shared read on the sharded path).
-    pub fn warm_start_with(
-        &self,
-        signature: &MixSignature,
-        telemetry: &Telemetry<'_>,
-    ) -> Option<WarmStart> {
-        match self {
-            StoreHandle::Single(store) => store
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .warm_start_with(signature, telemetry),
-            StoreHandle::Sharded(store) => store.warm_start_with(signature, telemetry),
-        }
-    }
-
-    /// Appends one sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::StoreError::Io`] if the log write fails.
-    pub fn append_with(
-        &self,
-        signature: &MixSignature,
-        partition: &Partition,
-        observation: &Observation,
-        score: f64,
-        telemetry: &Telemetry<'_>,
-    ) -> StoreResult<()> {
-        match self {
-            StoreHandle::Single(store) => store
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .append_with(signature, partition, observation, score, telemetry),
-            StoreHandle::Sharded(store) => {
-                store.append_with(signature, partition, observation, score, telemetry)
-            }
-        }
-    }
-
-    /// Records an append failure observed by a best-effort caller.
-    pub fn note_append_error(&self, signature: &MixSignature) {
-        match self {
-            StoreHandle::Single(store) => {
-                store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).note_append_error();
-            }
-            StoreHandle::Sharded(store) => store.note_append_error(signature),
-        }
-    }
-
-    /// Aggregate counters (across shards on the sharded path).
-    #[must_use]
-    pub fn stats(&self) -> StoreStats {
-        match self {
-            StoreHandle::Single(store) => {
-                store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).stats()
-            }
-            StoreHandle::Sharded(store) => store.stats(),
-        }
-    }
-}
-
-impl From<SharedStore> for StoreHandle {
-    fn from(store: SharedStore) -> Self {
-        StoreHandle::Single(store)
-    }
-}
-
-impl From<Arc<ShardedStore>> for StoreHandle {
-    fn from(store: Arc<ShardedStore>) -> Self {
-        StoreHandle::Sharded(store)
-    }
 }

@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use clite_sim::alloc::Partition;
 use clite_sim::metrics::Observation;
@@ -129,9 +128,6 @@ pub struct ObservationStore {
     retained_records: u64,
 }
 
-/// A store shared across controllers and cluster nodes.
-pub type SharedStore = Arc<Mutex<ObservationStore>>;
-
 impl ObservationStore {
     /// Opens (or creates) the store at `path` with the default policy.
     ///
@@ -213,12 +209,6 @@ impl ObservationStore {
             log_records: 0,
             retained_records: 0,
         }
-    }
-
-    /// Wraps a store for `Arc`-wide sharing across nodes/controllers.
-    #[must_use]
-    pub fn into_shared(self) -> SharedStore {
-        Arc::new(Mutex::new(self))
     }
 
     fn load_recovery(&mut self, recovery: &Recovery) {
@@ -328,11 +318,6 @@ impl ObservationStore {
         self.index_record(record);
         telemetry.emit(Event::StoreAppend { score });
         Ok(())
-    }
-
-    /// Records an append failure observed by a best-effort caller.
-    pub fn note_append_error(&mut self) {
-        self.stats.append_errors += 1;
     }
 
     fn index_record(&mut self, record: StoreRecord) {
