@@ -91,17 +91,19 @@ if [[ "${1:-}" != "quick" ]]; then
 
     # Stress loop: re-run the already-built release binaries of the
     # concurrency suites many times under real parallelism, so a rare
-    # interleaving (a lost wakeup, a compactor that outlives its store)
-    # shows up here rather than once in a hundred CI runs. The binaries
-    # run directly, with no cargo per iteration; the whole loop shares
-    # one deadline. Measured on a 2-core host: ~3.5 s per threaded-suite
-    # run and <0.1 s per store-suite run; 177 s for the loop at 12
-    # threaded runs per pool size, so 10 keeps it near 2.5 min.
+    # interleaving (a lost wakeup, a compactor that outlives its store, a
+    # race on the acquisition climbs' shared step cache) shows up here
+    # rather than once in a hundred CI runs. The binaries run directly,
+    # with no cargo per iteration; the whole loop shares one deadline.
+    # Measured on a 2-core host: 195 s for the loop at 8 threaded-suite
+    # and 8 BO determinism runs per pool size, 156 s at 6 + 6, so 6 keeps
+    # it near 2.5 min (the store suites take <0.1 s per run).
     step "stress loop (CLITE_PAR_THREADS=2/4/8, release binaries)"
     threaded_bin="$(release_test_bin -p clite-cluster --test threaded)"
+    bo_bin="$(release_test_bin -p clite-bo --test parallel_determinism)"
     shard_bin="$(release_test_bin -p clite-store --test shard_invariance)"
     drop_bin="$(release_test_bin -p clite-store --test compactor_drop)"
-    for bin in "$threaded_bin" "$shard_bin" "$drop_bin"; do
+    for bin in "$threaded_bin" "$bo_bin" "$shard_bin" "$drop_bin"; do
         [[ -x "$bin" ]] || { echo "stress loop: test binary not found: '$bin'" >&2; exit 1; }
     done
     # A failing run prints its own output, then stops the loop.
@@ -109,9 +111,9 @@ if [[ "${1:-}" != "quick" ]]; then
         run() { out="$("$1" -q 2>&1)" || { printf "%s\n" "$out"; exit 1; }; }
         for pool_size in 2 4 8; do
             export CLITE_PAR_THREADS=$pool_size
-            for _ in $(seq 10); do run "$1"; done
-            for _ in $(seq 100); do run "$2"; run "$3"; done
-        done' stress "$threaded_bin" "$shard_bin" "$drop_bin"
+            for _ in $(seq 6); do run "$1"; run "$2"; done
+            for _ in $(seq 100); do run "$3"; run "$4"; done
+        done' stress "$threaded_bin" "$bo_bin" "$shard_bin" "$drop_bin"
 
     # The observation store's crash-safety (truncated/bit-flipped tail
     # recovery) must hold under release codegen too.

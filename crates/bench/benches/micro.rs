@@ -69,7 +69,8 @@ fn bench_acquisition(c: &mut Criterion) {
             |mut rng| {
                 maximize_acquisition(
                     &space,
-                    OptimizerConfig::default(),
+                    // Serial: this row times one climb set on one core.
+                    OptimizerConfig { threads: 1, ..OptimizerConfig::default() },
                     |p: &Partition, scratch: &mut EvalScratch| {
                         space.encode_into(p, &mut scratch.features);
                         let (m, s) = gp.predict_std_into(&scratch.features, &mut scratch.gp);
@@ -99,10 +100,11 @@ fn suggest_objective(p: &Partition) -> f64 {
 /// and the `jobs + 1` bootstrap, none of the benchmarked sizes lands on a
 /// refresh round, so the cloned engine's next `suggest` measures the
 /// steady-state fast path (cached rank-1-extended surrogate, visitor
-/// climb).
+/// climb). The engine runs inline (`with_threads(1)`), like the serial
+/// baseline it is compared against.
 fn prepared_engine(jobs: usize, n: usize) -> BoEngine {
     let space = SearchSpace::new(ResourceCatalog::testbed(), jobs).unwrap();
-    let mut engine = BoEngine::new(space, BoConfig::default(), 11);
+    let mut engine = BoEngine::new(space, BoConfig::default().with_threads(1), 11);
     for p in engine.bootstrap_samples().unwrap() {
         let y = suggest_objective(&p);
         engine.record(p, y);

@@ -53,8 +53,9 @@ pub struct BoConfig {
     /// drift slowly, and the surrogate is extended incrementally via a
     /// rank-1 Cholesky update instead of refitted).
     pub hyper_refresh_every: usize,
-    /// Worker threads for the hyper-grid scan on refresh (1 = serial;
-    /// results are byte-identical for any value).
+    /// Pool slots for the hyper-grid scan on refresh (1 = serial; results
+    /// are byte-identical for any value). Defaults to the global pool's
+    /// executor count.
     pub hyper_threads: usize,
 }
 
@@ -67,15 +68,17 @@ impl Default for BoConfig {
             acquisition: Acquisition::paper_default(),
             optimizer: OptimizerConfig::default(),
             hyper_refresh_every: 5,
-            hyper_threads: 1,
+            hyper_threads: clite_par::WorkerPool::global().size(),
         }
     }
 }
 
 impl BoConfig {
     /// Returns a copy with both parallel paths — the hyper-grid scan and
-    /// the acquisition multi-start climbs — using up to `threads` workers.
-    /// Suggestions are byte-identical for any thread count.
+    /// the acquisition multi-start climbs — using up to `threads` pool
+    /// executors (both default to the global pool's size; `1` pins the
+    /// whole search inline on the caller). Suggestions are byte-identical
+    /// for any thread count.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.hyper_threads = threads;
@@ -129,8 +132,9 @@ pub struct Suggestion {
 ///   the survivors whose optimistic score still reaches the running best:
 ///   about a third of the neighbourhood, where the anchor-free bound alone
 ///   would pass nine tenths. The solves run on the calling thread; batches
-///   this small cannot pay for a pool dispatch, so parallelism stays with
-///   the independent multi-start climbs.
+///   this small cannot pay for a pool dispatch. The pool's executors go to
+///   the multi-start climbs instead, which by default claim starts on
+///   every executor of the global pool.
 ///
 /// None of this changes a climb trajectory — and therefore a suggestion:
 /// a candidate left unsolved provably could not have won, a solved

@@ -10,6 +10,8 @@
 //! one job's row frozen (dropout-copy, Sec. 4).
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -26,15 +28,17 @@ pub struct OptimizerConfig {
     pub random_restarts: usize,
     /// Maximum steepest-ascent steps per start point.
     pub max_steps: usize,
-    /// Pool slots for the independent hill-climb starts (1 = in-line
+    /// Executors for the independent hill-climb starts: at most this many
+    /// pool slots claim starts, each from a shared counter (1 = in-line
     /// serial, never touching the shared pool; results are byte-identical
-    /// at any slot count).
+    /// at any count). Defaults to the global pool's executor count; climbs
+    /// with almost no neighbours to visit run inline regardless.
     pub threads: usize,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        Self { random_restarts: 4, max_steps: 25, threads: 1 }
+        Self { random_restarts: 4, max_steps: 25, threads: clite_par::WorkerPool::global().size() }
     }
 }
 
@@ -88,15 +92,10 @@ pub struct EvalScratch {
     pub winner_of_step: Option<Partition>,
     /// Forward solve `L⁻¹k*` of the running (then final) step winner.
     pub winner_v: Vec<f64>,
-    /// Memoized climb steps, keyed by the step's base partition. Multiple
-    /// starts converge to the same optima and replay identical neighbour
-    /// sweeps; each cache hit skips a full `best_neighbor` pass. Lives as
-    /// long as the scratch (one `maximize_acquisition` call), over which
-    /// the acquisition surface is fixed.
-    pub step_cache: HashMap<Partition, StepOutcome>,
 }
 
-/// A memoized [`AcquisitionEval::best_neighbor`] result.
+/// A memoized [`AcquisitionEval::best_neighbor`] result, keyed in a
+/// climb set's shared step cache by the step's base partition.
 ///
 /// Caching across differing floors is sound because the result is
 /// floor-independent whenever a winner exists: the running max returns the
@@ -112,6 +111,18 @@ pub enum StepOutcome {
     /// No neighbour strictly exceeded the recorded floor.
     NoneAtFloor(f64),
 }
+
+/// Below this many first-step neighbours summed over all starts, the
+/// climbs run inline: measured on a 2-core VM, such a climb set takes
+/// ~25 µs, about what waking a pool worker costs (~20 µs), while sets of
+/// 40 or more take 100 µs and up.
+const POOLED_MIN_NEIGHBOURS: usize = 32;
+
+/// Memoized climb steps of one [`maximize_acquisition`] call, shared by
+/// every executor. Multiple starts converge to the same optima and replay
+/// identical neighbour sweeps; each hit skips a full `best_neighbor` pass.
+/// It lives for one call, over which the acquisition surface is fixed.
+type StepCache = Mutex<HashMap<Partition, StepOutcome>>;
 
 /// An acquisition surface a hill climb can evaluate, with an optional
 /// whole-step batched fast path.
@@ -178,12 +189,14 @@ where
 /// value, or `Ok(None)` if every reachable candidate is tabu.
 ///
 /// The randomness (restart points, seed jitter) is consumed from `rng`
-/// serially up front; the climbs themselves are deterministic, so with
-/// `config.threads > 1` the independent starts run as slots of the shared
-/// [`clite_par`] worker pool and an index-ordered reduction keeps the
-/// result **byte-identical to the serial path** (each start's outcome is a
-/// pure function of its start point, and the reduction replays the serial
-/// loop's first-strictly-better tie-breaking).
+/// serially up front; the climbs themselves are deterministic. Up to
+/// `config.threads` executors of the shared [`clite_par`] worker pool
+/// claim starts one at a time from a counter and share one step cache;
+/// the pool runs the same loop inline when the width is 1 or no worker is
+/// idle. The result is **byte-identical at any width**: each start's
+/// outcome is a pure function of its start point (see `climb`), outcomes
+/// are kept by start index, and the reduction replays the serial loop's
+/// first-strictly-better tie-breaking in start order.
 ///
 /// # Errors
 ///
@@ -224,78 +237,103 @@ pub fn maximize_acquisition(
         })
         .collect();
 
-    // Each start's candidate is independent of every other start: climb to
-    // a local optimum, then (only if it is tabu) fall back to its best
-    // non-tabu neighbour so the engine always gets fresh information.
-    let per_start = |start: &Partition, scratch: &mut EvalScratch| -> Option<(Partition, f64)> {
-        let mut current = start.clone();
-        let mut current_val = acq.eval(&current, scratch);
-        for _ in 0..config.max_steps {
-            let cached: Option<Option<(Partition, f64)>> = match scratch.step_cache.get(&current) {
-                Some(StepOutcome::Best(p, v)) => {
-                    Some(if *v > current_val { Some((p.clone(), *v)) } else { None })
-                }
-                Some(StepOutcome::NoneAtFloor(f)) if current_val >= *f => Some(None),
-                _ => None,
-            };
-            let step = match cached {
-                Some(step) => step,
-                None => {
-                    let step = acq.best_neighbor(&current, frozen_job, current_val, scratch);
-                    let outcome = match &step {
-                        Some((p, v)) => StepOutcome::Best(p.clone(), *v),
-                        None => StepOutcome::NoneAtFloor(current_val),
-                    };
-                    scratch.step_cache.insert(current.clone(), outcome);
-                    step
-                }
-            };
-            match step {
-                Some((n, v)) => {
-                    current = n;
-                    current_val = v;
-                }
-                None => break,
-            }
+    // Executors claim starts in any order and share one step cache; each
+    // start's outcome is stored at its index, so the reduction below sees
+    // the same sequence at any width (see `climb`). Width 1 (or a pool
+    // with no idle worker) runs this same body inline on the caller. So do
+    // climbs too small to pay for waking a worker: single-job spaces and
+    // frozen rows can leave no neighbour to climb to at all.
+    let cache: StepCache = Mutex::new(HashMap::new());
+    let next = AtomicUsize::new(0);
+    let outcomes: Mutex<Vec<Option<(Partition, f64)>>> = Mutex::new(vec![None; starts.len()]);
+    let neighbours: usize = starts.iter().map(|s| s.neighbor_count(frozen_job)).sum();
+    let width =
+        if neighbours < POOLED_MIN_NEIGHBOURS { 1 } else { config.threads.clamp(1, starts.len()) };
+    clite_par::WorkerPool::global().dispatch(width, |_| {
+        let mut scratch = EvalScratch::default();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(start) = starts.get(i) else { break };
+            let outcome =
+                climb(&acq, start, frozen_job, config.max_steps, tabu, &cache, &mut scratch);
+            outcomes.lock().unwrap_or_else(PoisonError::into_inner)[i] = outcome;
         }
-
-        if !tabu.contains(&current) {
-            return Some((current, current_val));
-        }
-        // The tabu fallback is a once-per-climb corner case, so it takes
-        // the exact (unbatched) path.
-        let mut alt: Option<(Partition, f64)> = None;
-        current.for_each_neighbor(frozen_job, |n| {
-            if tabu.contains(n) {
-                return;
-            }
-            let v = acq.eval(n, scratch);
-            if alt.as_ref().is_none_or(|(_, av)| v > *av) {
-                alt = Some((n.clone(), v));
-            }
-        });
-        alt
-    };
-
-    // Slot-striped over the shared pool: each slot reuses one `EvalScratch`
-    // (and its step cache) across its stripe of starts, exactly like the
-    // serial loop reuses one scratch across all of them. Cache hits replay
-    // stored outcomes, so sharing never changes a climb's result.
-    let candidates: Vec<Option<(Partition, f64)>> = clite_par::map_indexed(
-        clite_par::WorkerPool::global(),
-        config.threads,
-        &starts,
-        EvalScratch::default,
-        |scratch, _, start| per_start(start, scratch),
-    );
+    });
 
     let mut best: Option<(Partition, f64)> = None;
-    for (partition, value) in candidates.into_iter().flatten() {
+    for (partition, value) in
+        outcomes.into_inner().unwrap_or_else(PoisonError::into_inner).into_iter().flatten()
+    {
         if best.as_ref().is_none_or(|(_, bv)| value > *bv) {
             best = Some((partition, value));
         }
     }
     Ok(best)
+}
+
+/// Climbs from `start` to a local optimum, then (only if it is tabu) falls
+/// back to its best non-tabu neighbour, so the engine always gets fresh
+/// information.
+///
+/// The outcome is a pure function of `start`, whatever `cache` holds and
+/// whichever scratch runs it: a hit replays an outcome only where it
+/// equals what `best_neighbor` would compute (see [`StepOutcome`]), and a
+/// miss computes it. So executors may claim starts in any order and share
+/// one cache. The cache lock is not held across a step's computation; two
+/// executors racing on one base both store a valid outcome.
+fn climb(
+    acq: &impl AcquisitionEval,
+    start: &Partition,
+    frozen_job: Option<usize>,
+    max_steps: usize,
+    tabu: &HashSet<Partition>,
+    cache: &StepCache,
+    scratch: &mut EvalScratch,
+) -> Option<(Partition, f64)> {
+    let mut current = start.clone();
+    let mut current_val = acq.eval(&current, scratch);
+    for _ in 0..max_steps {
+        let cached = match cache.lock().unwrap_or_else(PoisonError::into_inner).get(&current) {
+            Some(StepOutcome::Best(p, v)) => {
+                Some(if *v > current_val { Some((p.clone(), *v)) } else { None })
+            }
+            Some(StepOutcome::NoneAtFloor(f)) if current_val >= *f => Some(None),
+            _ => None,
+        };
+        let step = cached.unwrap_or_else(|| {
+            let step = acq.best_neighbor(&current, frozen_job, current_val, scratch);
+            let outcome = match &step {
+                Some((p, v)) => StepOutcome::Best(p.clone(), *v),
+                None => StepOutcome::NoneAtFloor(current_val),
+            };
+            cache.lock().unwrap_or_else(PoisonError::into_inner).insert(current.clone(), outcome);
+            step
+        });
+        match step {
+            Some((n, v)) => {
+                current = n;
+                current_val = v;
+            }
+            None => break,
+        }
+    }
+
+    if !tabu.contains(&current) {
+        return Some((current, current_val));
+    }
+    // The tabu fallback is a once-per-climb corner case, so it takes the
+    // exact (unbatched) path.
+    let mut alt: Option<(Partition, f64)> = None;
+    current.for_each_neighbor(frozen_job, |n| {
+        if tabu.contains(n) {
+            return;
+        }
+        let v = acq.eval(n, scratch);
+        if alt.as_ref().is_none_or(|(_, av)| v > *av) {
+            alt = Some((n.clone(), v));
+        }
+    });
+    alt
 }
 
 /// Applies 1–3 random feasible unit transfers to diversify a start point.
@@ -453,6 +491,89 @@ mod tests {
             assert_eq!(serial_p, p, "threads={threads}");
             assert_eq!(serial_v.to_bits(), v.to_bits(), "threads={threads}");
         }
+    }
+
+    #[test]
+    fn reverse_claims_through_shared_cache_match_private_climbs() {
+        use clite_gp::gp::{GaussianProcess, GpConfig};
+        use clite_gp::kernel::Kernel;
+
+        use crate::acquisition::Acquisition;
+        use crate::engine::SurrogateAcq;
+
+        /// Counts the neighbourhood sweeps a climb actually computes.
+        struct Counting<'a> {
+            inner: SurrogateAcq<'a>,
+            sweeps: AtomicUsize,
+        }
+        impl AcquisitionEval for Counting<'_> {
+            fn eval(&self, p: &Partition, scratch: &mut EvalScratch) -> f64 {
+                self.inner.eval(p, scratch)
+            }
+            fn best_neighbor(
+                &self,
+                current: &Partition,
+                frozen_job: Option<usize>,
+                floor: f64,
+                scratch: &mut EvalScratch,
+            ) -> Option<(Partition, f64)> {
+                self.sweeps.fetch_add(1, Ordering::Relaxed);
+                self.inner.best_neighbor(current, frozen_job, floor, scratch)
+            }
+        }
+
+        let s = space(3);
+        let mut rng = StdRng::seed_from_u64(21);
+        let train: Vec<Partition> = (0..24).map(|_| s.random(&mut rng).unwrap()).collect();
+        let xs: Vec<Vec<f64>> = train.iter().map(|p| s.encode(p)).collect();
+        let ys: Vec<f64> = train
+            .iter()
+            .map(|p| {
+                p.fraction(0, ResourceKind::Cores) + 0.5 * p.fraction(2, ResourceKind::LlcWays)
+            })
+            .collect();
+        let best = ys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let gp =
+            GaussianProcess::fit(Kernel::matern52(0.05, 0.4), GpConfig::default(), xs, ys).unwrap();
+        let acq = Counting {
+            inner: SurrogateAcq::new(&gp, s, Acquisition::paper_default(), best),
+            sweeps: AtomicUsize::new(0),
+        };
+        // Repeated and jittered starts make climbs converge onto shared
+        // bases, so the shared cache is actually hit.
+        let mut starts: Vec<Partition> = (0..12).map(|_| s.random(&mut rng).unwrap()).collect();
+        starts.extend(starts.clone().iter().map(|p| jitter(p, None, &mut rng)));
+        starts.push(starts[0].clone());
+
+        let climb_all = |order: &mut dyn Iterator<Item = usize>,
+                         tabu: &HashSet<Partition>,
+                         shared: Option<&StepCache>| {
+            let mut out: Vec<Option<(Partition, f64)>> = vec![None; starts.len()];
+            let mut scratch = EvalScratch::default();
+            for i in order {
+                let private = StepCache::default();
+                let cache = shared.unwrap_or(&private);
+                out[i] = climb(&acq, &starts[i], None, 25, tabu, cache, &mut scratch);
+            }
+            out
+        };
+        let private = climb_all(&mut (0..starts.len()), &HashSet::new(), None);
+        // Make one endpoint tabu so the fallback path runs too.
+        let tabu: HashSet<Partition> = std::iter::once(private[3].clone().unwrap().0).collect();
+        acq.sweeps.store(0, Ordering::Relaxed);
+        let private = climb_all(&mut (0..starts.len()), &tabu, None);
+        let private_sweeps = acq.sweeps.swap(0, Ordering::Relaxed);
+
+        let cache = StepCache::default();
+        let reversed = climb_all(&mut (0..starts.len()).rev(), &tabu, Some(&cache));
+        let shared_sweeps = acq.sweeps.load(Ordering::Relaxed);
+        assert!(shared_sweeps < private_sweeps, "the shared cache must replay some steps");
+        for (i, (a, b)) in private.iter().zip(&reversed).enumerate() {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(a.0, b.0, "start {i}");
+            assert_eq!(a.1.to_bits(), b.1.to_bits(), "start {i}");
+        }
+        assert!(tabu.iter().all(|t| reversed.iter().flatten().all(|(p, _)| p != t)));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! End-to-end determinism of the parallel fast paths: a BO run with both
 //! the threaded hyper-grid scan and the threaded multi-start climbs must
 //! produce the byte-identical `Suggestion` sequence as a serial run, for
-//! any thread count. This is the contract that lets deployments turn on
-//! `BoConfig::with_threads` without re-validating search behaviour.
+//! any thread count. This is the contract that lets every search climb
+//! and scan on the whole shared pool by default (`BoConfig::default()`),
+//! and `BoConfig::with_threads(1)` pin it inline, without re-validating
+//! search behaviour.
 
 use clite_bo::engine::{BoConfig, BoEngine, Suggestion};
 use clite_bo::space::SearchSpace;
@@ -85,7 +87,7 @@ fn assert_traces_identical(serial: &[Suggestion], parallel: &[Suggestion], label
 #[test]
 fn threaded_run_is_byte_identical_to_serial() {
     for &jobs in &[2usize, 3] {
-        let serial = run(jobs, 17, BoConfig::default(), 13);
+        let serial = run(jobs, 17, BoConfig::default().with_threads(1), 13);
         for &threads in &[1usize, 2, 4, 8, 16] {
             let par = run(jobs, 17, BoConfig::default().with_threads(threads), 13);
             assert_traces_identical(&serial, &par, &format!("jobs={jobs} threads={threads}"));
@@ -97,9 +99,58 @@ fn threaded_run_is_byte_identical_to_serial() {
 /// points or starts) must not change anything either.
 #[test]
 fn degenerate_thread_counts_match_serial() {
-    let serial = run(2, 99, BoConfig::default(), 6);
+    let serial = run(2, 99, BoConfig::default().with_threads(1), 6);
     for &threads in &[0usize, 1, 64] {
         let par = run(2, 99, BoConfig::default().with_threads(threads), 6);
         assert_traces_identical(&serial, &par, &format!("threads={threads}"));
+    }
+}
+
+/// Like [`run`], plus one tabu-fallback round: a clone of the engine
+/// finds the round's suggestion, which is then quarantined, so the climb
+/// that ended there must fall back to its best non-tabu neighbour (the
+/// climbs themselves replay exactly: same RNG state, same surrogate).
+fn run_with_tabu_round(jobs: usize, seed: u64, config: BoConfig, rounds: usize) -> Vec<Suggestion> {
+    let space = SearchSpace::new(ResourceCatalog::testbed(), jobs).unwrap();
+    let mut engine = BoEngine::new(space, config, seed);
+    for p in engine.bootstrap_samples().unwrap() {
+        let y = objective(&p);
+        engine.record(p, y);
+    }
+    let mut trace = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        let frozen = (round % 3 == 2)
+            .then(|| (round % jobs, *engine.space().equal_share().unwrap().job(round % jobs)));
+        if round == 1 {
+            let unconstrained = engine.clone().suggest(frozen).unwrap();
+            engine.quarantine(unconstrained.partition.clone());
+            let s = engine.suggest(frozen).unwrap();
+            assert_ne!(s.partition, unconstrained.partition, "tabu point re-proposed");
+        }
+        let s = engine.suggest(frozen).unwrap();
+        let y = objective(&s.partition);
+        engine.record(s.partition.clone(), y);
+        trace.push(s);
+    }
+    trace
+}
+
+/// The default `BoConfig` climbs and scans on every executor of the
+/// global pool; it must match a search pinned inline with
+/// `with_threads(1)` on 3-, 4- and 5-job spaces over many seeds, through
+/// frozen-row (dropout-copy) rounds and a tabu-fallback round. Under
+/// `CLITE_PAR_THREADS=1` both sides run inline; CI re-runs this suite at
+/// pool sizes 2, 4 and 8.
+#[test]
+fn pool_sized_default_matches_inline_serial() {
+    let default = BoConfig::default();
+    assert_eq!(default.optimizer.threads, clite_par::WorkerPool::global().size());
+    assert_eq!(default.hyper_threads, clite_par::WorkerPool::global().size());
+    for jobs in 3..=5 {
+        for seed in 0..20 {
+            let serial = run_with_tabu_round(jobs, seed, BoConfig::default().with_threads(1), 6);
+            let pooled = run_with_tabu_round(jobs, seed, BoConfig::default(), 6);
+            assert_traces_identical(&serial, &pooled, &format!("jobs={jobs} seed={seed}"));
+        }
     }
 }

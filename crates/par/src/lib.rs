@@ -203,6 +203,13 @@ impl WorkerPool {
         self.workers.len()
     }
 
+    /// Whether some background worker is not draining a job right now.
+    /// A hint, not a reservation: a worker may pick up other work before
+    /// a dispatch reaches it (the caller then drains the slots itself).
+    fn has_idle_worker(&self) -> bool {
+        self.shared.stats.busy_workers.load(Ordering::SeqCst) < self.workers.len()
+    }
+
     /// Snapshot of the cumulative pool counters.
     #[must_use]
     pub fn stats(&self) -> PoolStats {
@@ -217,13 +224,16 @@ impl WorkerPool {
 
     /// Runs `f(slot)` exactly once for every `slot in 0..slots`, spreading
     /// slots over idle pool workers; the caller executes unclaimed slots
-    /// itself and returns only when all slots have finished.
+    /// itself and returns only when all slots have finished. With one
+    /// slot, or while every background worker is busy, the caller runs
+    /// every slot inline without queueing the job.
     ///
     /// Slot bodies must derive their work purely from the slot index (the
     /// determinism contract). Panics in any slot are re-raised on the
-    /// caller after the whole job completes. Nested dispatch from inside a
-    /// slot is supported and cannot deadlock: the nested caller drains its
-    /// own job's slots whenever no worker is free.
+    /// caller after the whole job completes (an inline run stops at the
+    /// first panic). Nested dispatch from inside a slot is supported and
+    /// cannot deadlock: the nested caller drains its own job's slots
+    /// whenever no worker is free.
     pub fn dispatch(&self, slots: usize, f: impl Fn(usize) + Sync) {
         self.dispatch_dyn(slots, &f);
     }
@@ -234,9 +244,12 @@ impl WorkerPool {
         }
         let stats = &self.shared.stats;
         stats.jobs.fetch_add(1, Ordering::Relaxed);
-        if slots == 1 || self.workers.is_empty() {
-            // Nothing worth handing off: run inline, panics propagate
-            // directly (no other slot is in flight).
+        if slots == 1 || !self.has_idle_worker() {
+            // Nothing worth handing off, or no worker free to take it
+            // (every one is draining a job, e.g. this caller's own outer
+            // slot): waking the queue would only add latency, so run
+            // inline. Panics propagate directly (no other slot is in
+            // flight).
             stats.caller_tasks.fetch_add(slots as u64, Ordering::Relaxed);
             for slot in 0..slots {
                 task(slot);
@@ -568,6 +581,27 @@ mod tests {
         });
         assert_eq!(total.load(Ordering::Relaxed), 16);
         assert!(pool.stats().max_busy_workers <= pool.workers());
+    }
+
+    #[test]
+    fn saturated_pool_runs_nested_dispatch_inline() {
+        // Both executors of a 2-pool hold an outer slot from the first
+        // barrier to the second, so neither nested dispatch may queue.
+        let pool = WorkerPool::new(2);
+        let barrier = std::sync::Barrier::new(2);
+        pool.dispatch(2, |_| {
+            barrier.wait();
+            assert!(!pool.has_idle_worker());
+            let me = thread::current().id();
+            pool.dispatch(4, |_| assert_eq!(thread::current().id(), me));
+            barrier.wait();
+        });
+        let stats = pool.stats();
+        assert_eq!(stats.jobs, 3);
+        // Only the worker's outer slot counts as a worker task: inline
+        // slots are booked to whoever dispatched them.
+        assert_eq!(stats.worker_tasks, 1);
+        assert_eq!(stats.caller_tasks, 1 + 4 + 4);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::event::Event;
 use crate::metrics::MetricsRegistry;
@@ -255,21 +255,30 @@ impl JsonlRecorder {
     ///
     /// Returns the underlying I/O error on failure.
     pub fn flush(&self) -> io::Result<()> {
-        let mut sink = self.sink.lock().expect("jsonl writer lock");
+        let mut sink = self.lock_sink();
         sink.pending = 0;
         sink.writer.flush()
+    }
+
+    /// Locks the writer, recovering it if a writer call panicked while
+    /// holding the lock. That panic lost the line being written, which is
+    /// counted in `clite_telemetry_dropped_total` once, as the poison is
+    /// cleared; recording goes on from every thread.
+    fn lock_sink(&self) -> MutexGuard<'_, Sink> {
+        self.sink.lock().unwrap_or_else(|poisoned| {
+            self.sink.clear_poison();
+            self.metrics.inc_counter("clite_telemetry_dropped_total", &[], 1);
+            poisoned.into_inner()
+        })
     }
 }
 
 impl Drop for JsonlRecorder {
     /// Best-effort flush so buffered events reach disk even when callers
-    /// forget to call [`JsonlRecorder::flush`]. Errors (including a
-    /// poisoned writer lock) are swallowed: telemetry must never turn a
-    /// clean exit into a panic.
+    /// forget to call [`JsonlRecorder::flush`]. Errors are swallowed:
+    /// telemetry must never turn a clean exit into a panic.
     fn drop(&mut self) {
-        if let Ok(mut sink) = self.sink.lock() {
-            let _ = sink.writer.flush();
-        }
+        let _ = self.lock_sink().writer.flush();
     }
 }
 
@@ -284,7 +293,7 @@ impl Recorder for JsonlRecorder {
             }
         };
         line.push('\n');
-        let mut sink = self.sink.lock().expect("jsonl writer lock");
+        let mut sink = self.lock_sink();
         if sink.writer.write_all(line.as_bytes()).is_err() {
             self.metrics.inc_counter("clite_telemetry_dropped_total", &[], 1);
             return;
@@ -340,6 +349,7 @@ impl Recorder for MemoryRecorder {
 mod tests {
     use super::*;
     use crate::event::StopReason;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn jsonl_recorder_writes_one_line_per_event_and_derives_metrics() {
@@ -415,6 +425,44 @@ mod tests {
         assert_eq!(buf.contents().lines().count(), 3, "next batch buffers again");
         recorder.flush().unwrap();
         assert_eq!(buf.contents().lines().count(), 4);
+    }
+
+    #[test]
+    fn a_panicking_writer_poisons_nothing_later() {
+        /// Panics on its second write, then writes normally.
+        struct PanicsOnce {
+            buf: SharedBuf,
+            writes: usize,
+        }
+        impl Write for PanicsOnce {
+            fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                assert_ne!(self.writes, 2, "writer exploded");
+                self.buf.write(data)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let buf = SharedBuf::default();
+        let recorder = JsonlRecorder::from_writer(PanicsOnce { buf: buf.clone(), writes: 0 });
+        recorder.record(&Event::InfeasibleJob { job: 0 });
+        let lost = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            recorder.record(&Event::InfeasibleJob { job: 1 });
+        }));
+        assert!(lost.is_err(), "the writer's panic reaches its own caller");
+        // Every later call, from this thread or another, records normally.
+        std::thread::scope(|scope| {
+            scope.spawn(|| recorder.record(&Event::InfeasibleJob { job: 2 }));
+        });
+        recorder.record(&Event::InfeasibleJob { job: 3 });
+        recorder.flush().unwrap();
+        let jobs: Vec<String> = buf.contents().lines().map(str::to_owned).collect();
+        assert_eq!(jobs.len(), 3);
+        assert!(jobs.iter().all(|line| !line.contains(r#""job":1"#)));
+        let dropped = recorder.metrics().counter_value("clite_telemetry_dropped_total", &[]);
+        assert_eq!(dropped, Some(1), "the lost line is counted once");
     }
 
     #[test]
